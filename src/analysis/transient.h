@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "rctree/extract.h"
@@ -49,13 +50,18 @@ struct ElmoreView {
 /// state arrays plus per-tap threshold bookkeeping, grown on demand and
 /// recycled across stages, combos and trials so the hot loop never
 /// allocates.  Each thread needs its own instance.
+///
+/// The per-lane arrays are node-major, lane-minor: entry `i * L + l` holds
+/// node (or tap) i of lane l in a group of L lockstep drives.
 struct TransientScratch {
   std::vector<double> g;      ///< conductance to parent (shared per stage)
+  std::vector<double> g2;     ///< g / 2 (shared per stage)
   std::vector<double> cdown;  ///< in-kernel Elmore sweep (when not borrowed)
   std::vector<double> tau;
-  std::vector<double> adiag;  ///< per-combo factorization
+  std::vector<double> caph;   ///< per-lane factorization: C / h
+  std::vector<double> adiag;
   std::vector<double> mult;
-  std::vector<double> v;      ///< per-combo integration state
+  std::vector<double> v;      ///< per-lane integration state
   std::vector<double> rhs;
   std::vector<double> gv;
   std::vector<double> tap_prev;
@@ -91,14 +97,20 @@ struct TransientScratch {
 /// The engine has one integrator core, simulate_stage_batch(): it reads the
 /// stage through a SoA view, hoists everything drive-independent — the
 /// conductance array, the Elmore sweep, the worst tap tau — out of the
-/// per-drive work, and then runs each drive's trapezoidal integration
-/// back-to-back over the same cached stage data.  simulate_stage() is the
-/// scalar wrapper: it packs the AoS stage into a thread-local scratch and
-/// runs the same core with a batch of one, so scalar and batched results
-/// are bit-identical by construction (same arithmetic, same order, same
-/// values — only the storage layout differs).
+/// per-drive work, and then integrates the drives in lane groups of up to
+/// kMaxLanes, lockstep within a group.  Lockstep lanes hide the latency of
+/// one drive's serial tree elimination and divide chain behind the other
+/// lanes' work; each lane still performs exactly the arithmetic of a lone
+/// drive, in the same order, so a drive's result does not depend on the
+/// group it rides in.  simulate_stage() is the scalar wrapper: it packs
+/// the AoS stage into a thread-local scratch and runs the same core with a
+/// batch of one (a one-lane group), so scalar and batched results are
+/// bit-identical by construction.
 class TransientSimulator {
  public:
+  /// Widest lane group simulate_stage_batch() runs in lockstep.
+  static constexpr std::size_t kMaxLanes = 4;
+
   explicit TransientSimulator(TransientOptions options = {})
       : options_(options) {}
 
@@ -118,9 +130,15 @@ class TransientSimulator {
   /// Batched integrator core: simulates `stage` once per entry of
   /// `drives[0..count)`, writing `out[b * stage.num_taps + k]` for drive b,
   /// tap k (the caller provides `count * stage.num_taps` slots).  The
-  /// stage's conductances and Elmore sweep are computed once and shared;
-  /// each drive's timestep, factorization and trapezoidal integration run
-  /// exactly the scalar arithmetic, so every row is bit-identical to the
+  /// stage's conductances and Elmore sweep are computed once and shared.
+  /// The drives then run in groups of kMaxLanes consecutive rows (the last
+  /// group holds the remaining 1..kMaxLanes), each group as lockstep lanes:
+  /// every sweep of a trapezoidal step loops over the group's lanes, and a
+  /// lane that has finished (all taps past 90%, or its stop time reached)
+  /// freezes its time and crossings while the others go on.  Steps before
+  /// a lane's source starts to ramp are skipped without a solve, since
+  /// they leave the state at exactly +0.  Each lane runs exactly the
+  /// scalar arithmetic, so every row is bit-identical to the
   /// simulate_stage() call with the same drive.
   ///
   /// `elmore` optionally borrows a prebuilt sweep (ElmoreCache entry built
