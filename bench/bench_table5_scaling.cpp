@@ -136,12 +136,6 @@ int main() {
   // (CONTANGO_INCREMENTAL=0 forces every evaluation full for comparison).
   std::printf("evaluation split: %ld full-tree propagations, %ld incremental\n",
               report.total_full_evals(), report.total_incremental_evals());
-  // Kernel-path split in (stage x corner x transition) units
-  // (CONTANGO_BATCH=0 forces the scalar kernel; results are bit-identical
-  // either way — this line shows which engine did the work).
-  std::printf("kernel split: %ld batched stage evals, %ld scalar\n",
-              report.total_batched_stage_evals(),
-              report.total_scalar_stage_evals());
   std::printf("Set CONTANGO_MAX_SINKS=50000 to run the paper's full sweep.\n");
   if (!options.json_report_path.empty()) {
     std::printf("JSON report written to %s\n", options.json_report_path.c_str());

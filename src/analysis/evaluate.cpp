@@ -48,13 +48,9 @@ Ps CornerTiming::skew() const {
 
 namespace {
 
-/// \name Shared propagation core
-/// The full (evaluate_netlist) and incremental (IncrementalEvaluator)
-/// engines run exactly these helpers for everything that touches timing
-/// arithmetic — event recurrence, driver view, tap fan-out, aggregation —
-/// so their bit-identity contract holds by construction; the engines
-/// differ only in where the TapTimings come from (fresh simulation vs.
-/// cache) and how downstream stages are indexed.
+/// \name The CNE sweep
+/// Event recurrence, driver view, tap fan-out and aggregation of the one
+/// propagation sweep behind evaluate_netlist() and IncrementalEvaluator.
 /// @{
 
 /// Event at a stage driver's input.
@@ -87,7 +83,7 @@ DriverView stage_driver_view(const Stage& stage, const Technology& tech,
 /// transition `t`), buffer taps pair with the stage's downstream entries
 /// in order and hand the child its input event through
 /// `schedule(child, event)`.  `taps` points at stage.taps.size() entries —
-/// a row of a batched result or a scalar vector's data().
+/// a row of a batched result or a cache entry's data().
 template <typename ScheduleFn>
 void fan_out_taps(const Stage& stage, const StageEvent& ev, Transition out_dir,
                   const TapTiming* taps, CornerTiming& corner,
@@ -177,9 +173,157 @@ void aggregate_constraints(EvalResult& result, const Benchmark& bench) {
   }
 }
 
-/// Shared aggregation tail of a CNE pass: derived metrics (worst slew,
-/// reachability, skew, CLR, constraint violations) from the per-corner
-/// timings.
+/// Optional timing cache of a sweep — IncrementalEvaluator's state.
+struct SweepCache {
+  const RcNetlist& net;  ///< slot versions
+  ElmoreCache& elmore;   ///< borrowed Elmore sweeps
+  std::vector<std::vector<CachedTiming>>& timings;  ///< [slot][combo]
+};
+
+/// The one CNE propagation sweep.  Slots are visited once, parent before
+/// child (`topo`, or 0, 1, ..., slot_count - 1 when null), with one
+/// propagation front per (corner x transition) combination: combo
+/// c = corner * kNumTransitions + transition owns the slice
+/// [c * slot_count, (c + 1) * slot_count) of `events`/`scheduled`.  At
+/// each slot every combo's input event is final (its parent came first),
+/// so the combos that need a simulation are gathered into one
+/// simulate_stage_batch() call over the slot's SoA slice.  Each combo's
+/// event recurrence and order of additions along every root-to-sink path
+/// is that of a one-combo-at-a-time walk, so the combo order inside a slot
+/// changes no value.
+///
+/// Without `cache` every combo is simulated.  With it, a combo reuses its
+/// cache entry exactly when every input of the simulation matches the
+/// cached call — same stage contents (version), same input direction
+/// (fixes r_drv via out_dir), bit-equal input slew; corner and transition
+/// are the entry's index.  A cached sweep takes no `stage_vdd_delta`.
+/// Returns the number of stage simulations run.
+template <typename StageOf>
+long sweep(const Benchmark& bench, const TransientSimulator& sim,
+           Ps source_input_slew, std::size_t slot_count,
+           const std::vector<int>* topo, StageOf stage_of,
+           const NetlistSoa& soa, const std::vector<Volt>* stage_vdd_delta,
+           const SweepCache* cache, EvalScratch& scratch, EvalResult& result) {
+  const std::size_t nc = bench.tech.corners.size();
+  const std::size_t combos = nc * kNumTransitions;
+  const std::size_t num_visits = topo ? topo->size() : slot_count;
+
+  result.corners.resize(nc);
+  for (std::size_t ci = 0; ci < nc; ++ci) {
+    result.corners[ci].vdd = bench.tech.corners[ci];
+    for (auto& per_transition : result.corners[ci].sinks) {
+      per_transition.assign(bench.sinks.size(), SinkTiming{});
+    }
+  }
+
+  std::vector<StageEvent> events(combos * slot_count);
+  std::vector<char> scheduled(combos * slot_count, 0);
+  if (num_visits > 0) {
+    const auto root = static_cast<std::size_t>(topo ? topo->front() : 0);
+    for (std::size_t c = 0; c < combos; ++c) {
+      events[c * slot_count + root] =
+          StageEvent{0.0, source_input_slew,
+                     static_cast<Transition>(c % kNumTransitions)};
+      scheduled[c * slot_count + root] = 1;
+    }
+  }
+  if (cache && cache->timings.size() < slot_count) {
+    cache->timings.resize(slot_count);
+  }
+
+  long simulated = 0;
+  for (std::size_t i = 0; i < num_visits; ++i) {
+    const int slot = topo ? (*topo)[i] : static_cast<int>(i);
+    const auto s = static_cast<std::size_t>(slot);
+    const Stage& stage = stage_of(slot);
+    const std::size_t nt = stage.taps.size();
+
+    std::vector<CachedTiming>* entries = nullptr;
+    std::uint64_t version = 0;
+    if (cache) {
+      entries = &cache->timings[s];
+      if (entries->size() != combos) entries->assign(combos, CachedTiming{});
+      version = cache->net.version(slot);
+    }
+
+    scratch.drives.clear();
+    scratch.combos.clear();
+    for (std::size_t ci = 0; ci < nc; ++ci) {
+      const Volt vdd = bench.tech.corners[ci];
+      for (int t = 0; t < kNumTransitions; ++t) {
+        const std::size_t c = ci * kNumTransitions + static_cast<std::size_t>(t);
+        // The stage graph (maintained across splits/merges/sweeps) must
+        // hand every slot its event before the slot is processed — a
+        // repair bug must throw, not return plausible timings from a zero
+        // event.
+        if (!scheduled[c * slot_count + s]) {
+          throw std::logic_error("CNE sweep: stage scheduled out of order");
+        }
+        const StageEvent& ev = events[c * slot_count + s];
+        if (cache) {
+          CachedTiming& entry = (*entries)[c];
+          if (entry.version == version && entry.in_dir == ev.dir &&
+              entry.in_slew == ev.slew) {
+            continue;
+          }
+          entry.version = version;
+          entry.in_dir = ev.dir;
+          entry.in_slew = ev.slew;
+        }
+        const Transition out_dir = stage_output_dir(stage, ev.dir);
+        const Volt vdd_stage = stage_vdd_delta ? vdd + (*stage_vdd_delta)[s] : vdd;
+        const DriverView drv =
+            stage_driver_view(stage, bench.tech, vdd_stage, out_dir);
+        scratch.drives.push_back(BatchDrive{drv.r_drv, drv.intrinsic, ev.slew});
+        scratch.combos.push_back(static_cast<int>(c));
+      }
+    }
+
+    const std::size_t runs = scratch.drives.size();
+    if (runs > 0) {
+      ElmoreView borrowed;
+      if (cache) {
+        const ElmoreStage& elm = cache->elmore.get(slot, version, stage);
+        borrowed = ElmoreView{elm.tau_data(), elm.total_cap()};
+      }
+      scratch.taps.resize(runs * nt);
+      sim.simulate_stage_batch(soa.view(slot), scratch.drives.data(), runs,
+                               scratch.taps.data(), scratch.kernel,
+                               cache ? &borrowed : nullptr);
+      if (cache) {
+        for (std::size_t m = 0; m < runs; ++m) {
+          const auto row = scratch.taps.begin() + static_cast<std::ptrdiff_t>(m * nt);
+          (*entries)[static_cast<std::size_t>(scratch.combos[m])].taps.assign(
+              row, row + static_cast<std::ptrdiff_t>(nt));
+        }
+      }
+      simulated += static_cast<long>(runs);
+    }
+
+    for (std::size_t ci = 0; ci < nc; ++ci) {
+      for (int t = 0; t < kNumTransitions; ++t) {
+        const std::size_t c = ci * kNumTransitions + static_cast<std::size_t>(t);
+        const StageEvent ev = events[c * slot_count + s];
+        // Uncached, every combo ran and row c of the batch is combo c.
+        const TapTiming* taps = cache ? (*entries)[c].taps.data()
+                                      : scratch.taps.data() + c * nt;
+        fan_out_taps(stage, ev, stage_output_dir(stage, ev.dir), taps,
+                     result.corners[ci], t, [&](int child, const StageEvent& e) {
+                       events[c * slot_count + static_cast<std::size_t>(child)] = e;
+                       scheduled[c * slot_count + static_cast<std::size_t>(child)] = 1;
+                     });
+      }
+    }
+  }
+
+  aggregate_corners(result, bench);
+  return simulated;
+}
+
+/// @}
+
+}  // namespace
+
 void aggregate_corners(EvalResult& result, const Benchmark& bench) {
   for (const CornerTiming& corner : result.corners) {
     result.worst_slew = std::max(result.worst_slew, corner.max_slew);
@@ -204,10 +348,6 @@ void aggregate_corners(EvalResult& result, const Benchmark& bench) {
   aggregate_constraints(result, bench);
 }
 
-/// @}
-
-}  // namespace
-
 KOhm effective_driver_res(KOhm nominal, const Technology& tech, Volt vdd,
                           Transition output_transition) {
   const double corner = std::pow(tech.vdd_nom / vdd, tech.supply_alpha);
@@ -227,149 +367,23 @@ Evaluator::Evaluator(const Benchmark& bench, EvalOptions options)
   for (const Sink& s : bench.sinks) sink_caps_.push_back(s.cap);
 }
 
-EvalResult evaluate_netlist(const StagedNetlist& net, const Benchmark& bench,
-                            const TransientSimulator& sim, Ps source_input_slew,
-                            const std::vector<Volt>* stage_vdd_delta) {
+EvalResult evaluate_netlist(const StagedNetlist& net, const NetlistSoa& soa,
+                            const Benchmark& bench, const TransientSimulator& sim,
+                            Ps source_input_slew,
+                            const std::vector<Volt>* stage_vdd_delta,
+                            EvalScratch* scratch) {
   if (stage_vdd_delta && stage_vdd_delta->size() != net.stages.size()) {
     throw std::invalid_argument("evaluate_netlist: stage_vdd_delta size " +
                                 std::to_string(stage_vdd_delta->size()) +
                                 " != stage count " + std::to_string(net.stages.size()));
   }
+  EvalScratch local_scratch;
   EvalResult result;
-
-  for (Volt vdd : bench.tech.corners) {
-    CornerTiming corner;
-    corner.vdd = vdd;
-    for (auto& per_transition : corner.sinks) {
-      per_transition.assign(bench.sinks.size(), SinkTiming{});
-    }
-
-    for (int t = 0; t < kNumTransitions; ++t) {
-      const auto source_dir = static_cast<Transition>(t);
-      std::vector<StageEvent> events(net.stages.size());
-      std::vector<char> scheduled(net.stages.size(), 0);
-      events[0] = StageEvent{0.0, source_input_slew, source_dir};
-      scheduled[0] = 1;
-
-      // Stages are created parent-before-child by extraction, so a single
-      // forward sweep is a valid topological propagation.
-      for (std::size_t si = 0; si < net.stages.size(); ++si) {
-        if (!scheduled[si]) {
-          throw std::logic_error("evaluate_netlist: stage scheduled out of order");
-        }
-        const Stage& stage = net.stages[si];
-        const StageEvent& ev = events[si];
-
-        const Transition out_dir = stage_output_dir(stage, ev.dir);
-        const Volt vdd_stage = stage_vdd_delta ? vdd + (*stage_vdd_delta)[si] : vdd;
-        const DriverView drv =
-            stage_driver_view(stage, bench.tech, vdd_stage, out_dir);
-
-        const std::vector<TapTiming> taps =
-            sim.simulate_stage(stage, drv.r_drv, drv.intrinsic, ev.slew);
-
-        fan_out_taps(stage, ev, out_dir, taps.data(), corner, t,
-                     [&](int child, const StageEvent& e) {
-                       events[static_cast<std::size_t>(child)] = e;
-                       scheduled[static_cast<std::size_t>(child)] = 1;
-                     });
-      }
-    }
-    result.corners.push_back(std::move(corner));
-  }
-
-  aggregate_corners(result, bench);
-  return result;
-}
-
-EvalResult evaluate_netlist_batch(const StagedNetlist& net, const NetlistSoa& soa,
-                                  const Benchmark& bench,
-                                  const TransientSimulator& sim,
-                                  Ps source_input_slew,
-                                  const std::vector<Volt>* stage_vdd_delta,
-                                  TransientScratch* scratch) {
-  if (stage_vdd_delta && stage_vdd_delta->size() != net.stages.size()) {
-    throw std::invalid_argument("evaluate_netlist_batch: stage_vdd_delta size " +
-                                std::to_string(stage_vdd_delta->size()) +
-                                " != stage count " + std::to_string(net.stages.size()));
-  }
-  TransientScratch local_scratch;
-  if (!scratch) scratch = &local_scratch;
-
-  const std::size_t ns = net.stages.size();
-  const std::size_t nc = bench.tech.corners.size();
-  const std::size_t combos = nc * kNumTransitions;
-
-  EvalResult result;
-  result.corners.resize(nc);
-  for (std::size_t ci = 0; ci < nc; ++ci) {
-    result.corners[ci].vdd = bench.tech.corners[ci];
-    for (auto& per_transition : result.corners[ci].sinks) {
-      per_transition.assign(bench.sinks.size(), SinkTiming{});
-    }
-  }
-
-  // One propagation front per (corner x transition) combination, advanced
-  // stage-by-stage: combo c = ci * kNumTransitions + t owns the slice
-  // [c * ns, (c + 1) * ns) of `events`/`scheduled`.  Stages are created
-  // parent-before-child by extraction, so the forward sweep is a valid
-  // topological propagation for every combo at once, and each combo's
-  // event recurrence is exactly the scalar one.
-  std::vector<StageEvent> events(combos * ns);
-  std::vector<char> scheduled(combos * ns, 0);
-  for (std::size_t c = 0; c < combos && ns > 0; ++c) {
-    events[c * ns] = StageEvent{0.0, source_input_slew,
-                                static_cast<Transition>(c % kNumTransitions)};
-    scheduled[c * ns] = 1;
-  }
-
-  std::vector<BatchDrive> drives(combos);
-  std::vector<Transition> out_dirs(combos);
-  std::vector<TapTiming> taps;
-
-  for (std::size_t si = 0; si < ns; ++si) {
-    const Stage& stage = net.stages[si];
-
-    // Gather every combo's driver view, then sweep them through the batch
-    // kernel in combo order — the same per-combo arithmetic the scalar
-    // path runs, sharing the stage's conductances and Elmore sweep.
-    for (std::size_t ci = 0; ci < nc; ++ci) {
-      const Volt vdd = bench.tech.corners[ci];
-      for (int t = 0; t < kNumTransitions; ++t) {
-        const std::size_t c = ci * kNumTransitions + static_cast<std::size_t>(t);
-        if (!scheduled[c * ns + si]) {
-          throw std::logic_error(
-              "evaluate_netlist_batch: stage scheduled out of order");
-        }
-        const StageEvent& ev = events[c * ns + si];
-        const Transition out_dir = stage_output_dir(stage, ev.dir);
-        const Volt vdd_stage = stage_vdd_delta ? vdd + (*stage_vdd_delta)[si] : vdd;
-        const DriverView drv =
-            stage_driver_view(stage, bench.tech, vdd_stage, out_dir);
-        drives[c] = BatchDrive{drv.r_drv, drv.intrinsic, ev.slew};
-        out_dirs[c] = out_dir;
-      }
-    }
-
-    const std::size_t nt = stage.taps.size();
-    taps.resize(combos * nt);
-    sim.simulate_stage_batch(soa.view(static_cast<int>(si)), drives.data(),
-                             combos, taps.data(), *scratch);
-
-    for (std::size_t ci = 0; ci < nc; ++ci) {
-      for (int t = 0; t < kNumTransitions; ++t) {
-        const std::size_t c = ci * kNumTransitions + static_cast<std::size_t>(t);
-        fan_out_taps(stage, events[c * ns + si], out_dirs[c],
-                     taps.data() + c * nt, result.corners[ci], t,
-                     [&](int child, const StageEvent& e) {
-                       events[c * ns + static_cast<std::size_t>(child)] = e;
-                       scheduled[c * ns + static_cast<std::size_t>(child)] = 1;
-                     });
-      }
-    }
-  }
-
-  aggregate_corners(result, bench);
+  sweep(bench, sim, source_input_slew, net.stages.size(), nullptr,
+        [&](int slot) -> const Stage& {
+          return net.stages[static_cast<std::size_t>(slot)];
+        },
+        soa, stage_vdd_delta, nullptr, scratch ? *scratch : local_scratch, result);
   return result;
 }
 
@@ -383,20 +397,14 @@ EvalResult Evaluator::evaluate(const ClockTree& tree) {
   sim_runs_.fetch_add(1, std::memory_order_relaxed);
   full_evals_.fetch_add(1, std::memory_order_relaxed);
   const StagedNetlist net = extract_stages(tree, bench_, options_.extract);
-  const long units = static_cast<long>(net.stages.size()) *
-                     static_cast<long>(bench_.tech.corners.size()) *
-                     kNumTransitions;
-  EvalResult result;
-  if (options_.batch) {
-    soa_.build(net);
-    result = evaluate_netlist_batch(net, soa_, bench_, sim_,
-                                    options_.source_input_slew, nullptr,
-                                    &scratch_);
-    batched_stage_evals_.fetch_add(units, std::memory_order_relaxed);
-  } else {
-    result = evaluate_netlist(net, bench_, sim_, options_.source_input_slew);
-    scalar_stage_evals_.fetch_add(units, std::memory_order_relaxed);
-  }
+  soa_.build(net);
+  EvalResult result = evaluate_netlist(net, soa_, bench_, sim_,
+                                       options_.source_input_slew, nullptr,
+                                       &scratch_);
+  batched_stage_evals_.fetch_add(static_cast<long>(net.stages.size()) *
+                                     static_cast<long>(bench_.tech.corners.size()) *
+                                     kNumTransitions,
+                                 std::memory_order_relaxed);
   account_capacitance(result, tree, bench_, sink_caps_);
   return result;
 }
@@ -419,149 +427,21 @@ EvalResult IncrementalEvaluator::evaluate() {
   net_.refresh();
 
   const Benchmark& bench = eval_.bench_;
-  const TransientSimulator& sim = eval_.sim_;
-  const Ps source_input_slew = eval_.options_.source_input_slew;
-  const bool batch = eval_.options_.batch;
   const std::vector<int>& topo = net_.topo_slots();
-  const std::size_t nc = bench.tech.corners.size();
-  const std::size_t combos = nc * kNumTransitions;
-  const std::size_t slot_count = net_.slot_count();
-
-  if (timings_.size() < slot_count) timings_.resize(slot_count);
-
+  const SweepCache cache{net_, elmore_, timings_};
   EvalResult result;
-  result.corners.resize(nc);
-  for (std::size_t ci = 0; ci < nc; ++ci) {
-    result.corners[ci].vdd = bench.tech.corners[ci];
-    for (auto& per_transition : result.corners[ci].sinks) {
-      per_transition.assign(bench.sinks.size(), SinkTiming{});
-    }
-  }
-
-  // Same StageEvent recurrence — and the same order of additions along
-  // every root-to-sink path — as the full evaluate_netlist() propagation;
-  // all timing arithmetic goes through the shared helpers above.  The
-  // sweep is slot-outer with one propagation front per (corner x
-  // transition) combination (combo c owns the slice [c * slot_count,
-  // (c + 1) * slot_count) of `events`/`scheduled`), so a slot's cache
-  // misses across all combos can be gathered and handed to the batch
-  // kernel together.  Each combo's events depend only on upstream slots
-  // of the same combo and each cache entry belongs to exactly one combo,
-  // so reordering combos inside a slot changes no value — batched and
-  // scalar modes are bit-identical to each other and to the corner-outer
-  // sweep this replaces.
-  std::vector<StageEvent> events(combos * slot_count);
-  std::vector<char> scheduled(combos * slot_count, 0);
-  if (!topo.empty()) {
-    const auto root = static_cast<std::size_t>(topo.front());
-    for (std::size_t c = 0; c < combos; ++c) {
-      events[c * slot_count + root] =
-          StageEvent{0.0, source_input_slew,
-                     static_cast<Transition>(c % kNumTransitions)};
-      scheduled[c * slot_count + root] = 1;
-    }
-  }
-
-  for (const int slot : topo) {
-    const Stage& stage = net_.stage(slot);
-    const std::uint64_t version = net_.version(slot);
-    const auto s = static_cast<std::size_t>(slot);
-
-    std::vector<CachedTiming>& per_slot = timings_[s];
-    if (per_slot.size() != combos) per_slot.assign(combos, CachedTiming{});
-
-    miss_combos_.clear();
-    miss_drives_.clear();
-
-    for (std::size_t ci = 0; ci < nc; ++ci) {
-      const Volt vdd = bench.tech.corners[ci];
-      for (int t = 0; t < kNumTransitions; ++t) {
-        const std::size_t c = ci * kNumTransitions + static_cast<std::size_t>(t);
-        // Same fail-fast invariant as the full propagation: the stage
-        // graph (maintained across splits/merges/sweeps) must hand every
-        // slot its event before the slot is processed — a repair bug must
-        // throw, not return plausible timings from a zero event.
-        if (!scheduled[c * slot_count + s]) {
-          throw std::logic_error(
-              "IncrementalEvaluator: stage scheduled out of order");
-        }
-        const StageEvent& ev = events[c * slot_count + s];
-        CachedTiming& entry = per_slot[c];
-
-        // Reuse is allowed exactly when every input of the simulation
-        // matches the cached call: same stage contents (version), same
-        // input direction (fixes r_drv via out_dir) and bit-equal input
-        // slew.  The corner and transition are part of the cache key.
-        if (entry.version != version || entry.in_dir != ev.dir ||
-            entry.in_slew != ev.slew) {
-          const Transition out_dir = stage_output_dir(stage, ev.dir);
-          const DriverView drv = stage_driver_view(stage, bench.tech, vdd, out_dir);
-          if (batch) {
-            miss_combos_.push_back(static_cast<int>(c));
-            miss_drives_.push_back(BatchDrive{drv.r_drv, drv.intrinsic, ev.slew});
-          } else {
-            entry.taps = sim.simulate_stage(stage, drv.r_drv, drv.intrinsic,
-                                            ev.slew,
-                                            &elmore_.get(slot, version, stage));
-            eval_.scalar_stage_evals_.fetch_add(1, std::memory_order_relaxed);
-          }
-          entry.version = version;
-          entry.in_dir = ev.dir;
-          entry.in_slew = ev.slew;
-          ++stage_sims_;
-        } else {
-          ++stage_reuses_;
-        }
-      }
-    }
-
-    // Sweep all of this slot's cache misses through the batch kernel in
-    // combo order, borrowing the cached Elmore sweep — the same inputs the
-    // scalar path hands simulate_stage(), through the same integrator core.
-    if (batch && !miss_combos_.empty()) {
-      const ElmoreStage& elm = elmore_.get(slot, version, stage);
-      const ElmoreView borrowed{elm.tau_data(), elm.total_cap()};
-      const std::size_t nt = stage.taps.size();
-      if (miss_combos_.size() == 1) {
-        // Single miss (the warm-cache common case): the kernel writes the
-        // cache entry in place — no staging row, no copy.
-        CachedTiming& entry = per_slot[static_cast<std::size_t>(miss_combos_[0])];
-        entry.taps.resize(nt);
-        sim.simulate_stage_batch(net_.soa().view(slot), miss_drives_.data(), 1,
-                                 entry.taps.data(), scratch_, &borrowed);
-      } else {
-        miss_taps_.resize(miss_combos_.size() * nt);
-        sim.simulate_stage_batch(net_.soa().view(slot), miss_drives_.data(),
-                                 miss_combos_.size(), miss_taps_.data(),
-                                 scratch_, &borrowed);
-        for (std::size_t m = 0; m < miss_combos_.size(); ++m) {
-          CachedTiming& entry = per_slot[static_cast<std::size_t>(miss_combos_[m])];
-          entry.taps.assign(
-              miss_taps_.begin() + static_cast<std::ptrdiff_t>(m * nt),
-              miss_taps_.begin() + static_cast<std::ptrdiff_t>((m + 1) * nt));
-        }
-      }
-      eval_.batched_stage_evals_.fetch_add(
-          static_cast<long>(miss_combos_.size()), std::memory_order_relaxed);
-    }
-
-    for (std::size_t ci = 0; ci < nc; ++ci) {
-      for (int t = 0; t < kNumTransitions; ++t) {
-        const std::size_t c = ci * kNumTransitions + static_cast<std::size_t>(t);
-        const StageEvent ev = events[c * slot_count + s];
-        fan_out_taps(stage, ev, stage_output_dir(stage, ev.dir),
-                     per_slot[c].taps.data(), result.corners[ci], t,
-                     [&](int child, const StageEvent& e) {
-                       events[c * slot_count + static_cast<std::size_t>(child)] = e;
-                       scheduled[c * slot_count + static_cast<std::size_t>(child)] = 1;
-                     });
-      }
-    }
-  }
-
-  aggregate_corners(result, bench);
+  const long simulated =
+      sweep(bench, eval_.sim_, eval_.options_.source_input_slew,
+            net_.slot_count(), &topo,
+            [&](int slot) -> const Stage& { return net_.stage(slot); },
+            net_.soa(), nullptr, &cache, scratch_, result);
   account_capacitance(result, *tree_, bench, eval_.sink_caps_);
 
+  stage_sims_ += simulated;
+  stage_reuses_ += static_cast<long>(topo.size() * bench.tech.corners.size()) *
+                       kNumTransitions -
+                   simulated;
+  eval_.batched_stage_evals_.fetch_add(simulated, std::memory_order_relaxed);
   eval_.sim_runs_.fetch_add(1, std::memory_order_relaxed);
   eval_.incremental_evals_.fetch_add(1, std::memory_order_relaxed);
   return result;

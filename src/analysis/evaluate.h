@@ -82,60 +82,52 @@ struct EvalOptions {
   ExtractOptions extract;
   TransientOptions transient;
   Ps source_input_slew = 10.0;  ///< transition time of the external clock
-
-  /// Run every CNE pass through the batched SoA kernel — one
-  /// simulate_stage_batch() call per stage covering all (corner x
-  /// transition) right-hand sides — instead of one scalar simulate_stage()
-  /// call per combination.  Results are bit-identical either way (the two
-  /// paths share one integrator core); this switch exists for verification
-  /// and benchmarking.  Suite drivers bind it to the CONTANGO_BATCH env
-  /// knob; 0 forces the scalar path, mirroring CONTANGO_INCREMENTAL=0.
-  bool batch = true;
 };
 
 struct VariationModel;  // analysis/variation.h
 struct McOptions;       // analysis/montecarlo.h
 struct McReport;        // analysis/montecarlo.h
 
+/// Reusable per-thread workspace of a CNE sweep: the kernel scratch and one
+/// stage's drive and tap staging.  Only capacity carries over between
+/// sweeps, never values.
+struct EvalScratch {
+  TransientScratch kernel;
+  std::vector<BatchDrive> drives;
+  std::vector<int> combos;  ///< (corner x transition) index of each drive
+  std::vector<TapTiming> taps;
+};
+
 /// \brief Full Clock-Network Evaluation over an already-extracted staged
 /// netlist: every (supply corner x source transition) combination, skew,
 /// CLR and slew aggregation.
 ///
-/// This is the corner-propagation core shared by Evaluator::evaluate() and
-/// the Monte-Carlo variation engine (analysis/montecarlo.h).  Capacitance
-/// accounting (`total_cap`, `cap_violation`) is the caller's job — it needs
-/// the ClockTree, not the staged netlist.
-///
-/// \param stage_vdd_delta optional per-stage supply offsets (volts), indexed
-///        like net.stages; each corner evaluates stage i at
-///        `corner + (*stage_vdd_delta)[i]`.  nullptr means every stage sits
-///        exactly at the corner voltage — bit-identical to the nominal path.
-EvalResult evaluate_netlist(const StagedNetlist& net, const Benchmark& bench,
-                            const TransientSimulator& sim, Ps source_input_slew,
-                            const std::vector<Volt>* stage_vdd_delta = nullptr);
-
-/// \brief Batched twin of evaluate_netlist(): one SoA kernel pass per stage
-/// for all (corner x transition) right-hand sides.
-///
-/// The propagation is restructured stage-outer: stages are visited once in
-/// topological order, every combination's input event is resolved (parents
-/// precede children, so all combinations of a stage's parent are already
-/// final), and simulate_stage_batch() sweeps the whole drive set over the
-/// stage's SoA slice — sharing the conductance array and Elmore sweep that
-/// the scalar path rebuilds per combination.  Every per-combination number
-/// comes out of the same integrator core on the same values, so the result
-/// is **bit-identical** to evaluate_netlist() on the same netlist.
+/// Runs the one CNE sweep (shared with IncrementalEvaluator) without a
+/// timing cache: stages are visited once in topological order, every
+/// combination's input event is resolved, and one simulate_stage_batch()
+/// call covers all combinations of the stage.  Evaluator::evaluate() and
+/// the Monte-Carlo engine (analysis/montecarlo.h) call it.  Capacitance
+/// accounting (`total_cap`, `cap_violation`) is the caller's job — it
+/// needs the ClockTree, not the staged netlist.
 ///
 /// \param soa SoA mirror of `net` with slot i == stage i (NetlistSoa::build,
 ///        or a Monte-Carlo trial copy carrying perturbed values); `net`
 ///        still supplies the topology/driver metadata.
-/// \param scratch optional reusable kernel workspace (per thread)
-EvalResult evaluate_netlist_batch(const StagedNetlist& net, const NetlistSoa& soa,
-                                  const Benchmark& bench,
-                                  const TransientSimulator& sim,
-                                  Ps source_input_slew,
-                                  const std::vector<Volt>* stage_vdd_delta = nullptr,
-                                  TransientScratch* scratch = nullptr);
+/// \param stage_vdd_delta optional per-stage supply offsets (volts), indexed
+///        like net.stages; each corner evaluates stage i at
+///        `corner + (*stage_vdd_delta)[i]`.  nullptr means every stage sits
+///        exactly at the corner voltage.
+/// \param scratch optional reusable workspace (per thread)
+EvalResult evaluate_netlist(const StagedNetlist& net, const NetlistSoa& soa,
+                            const Benchmark& bench, const TransientSimulator& sim,
+                            Ps source_input_slew,
+                            const std::vector<Volt>* stage_vdd_delta = nullptr,
+                            EvalScratch* scratch = nullptr);
+
+/// Derives the summary fields of `result` — worst slew, reachability,
+/// skew, CLR and the constraint metrics — from its per-corner timings: the
+/// aggregation tail of every CNE pass.
+void aggregate_corners(EvalResult& result, const Benchmark& bench);
 
 /// Fills `total_cap`/`cap_violation` of `result` — the capacitance half of
 /// CNE that evaluate_netlist() cannot compute (it needs the ClockTree).
@@ -182,25 +174,20 @@ class Evaluator {
     return incremental_evals_.load(std::memory_order_relaxed);
   }
 
-  /// Finer-grained work accounting in (stage x corner x transition) units:
-  /// transient stage simulations executed through the batched SoA kernel
-  /// vs. the scalar path, across evaluate(), IncrementalEvaluator and
-  /// evaluate_mc().  With `options().batch` (the default) the scalar count
-  /// stays 0 and vice versa — the suite report and the Table V/VI benches
-  /// surface the split.
+  /// Finer-grained work accounting: (stage x corner x transition) transient
+  /// stage simulations run across evaluate(), IncrementalEvaluator and
+  /// evaluate_mc().
   long batched_stage_evals() const {
     return batched_stage_evals_.load(std::memory_order_relaxed);
   }
-  long scalar_stage_evals() const {
-    return scalar_stage_evals_.load(std::memory_order_relaxed);
-  }
+  /// Always 0; perfbench/ still reads it.
+  long scalar_stage_evals() const { return 0; }
 
   void reset_sim_runs() {
     sim_runs_.store(0, std::memory_order_relaxed);
     full_evals_.store(0, std::memory_order_relaxed);
     incremental_evals_.store(0, std::memory_order_relaxed);
     batched_stage_evals_.store(0, std::memory_order_relaxed);
-    scalar_stage_evals_.store(0, std::memory_order_relaxed);
   }
 
   const Benchmark& benchmark() const { return bench_; }
@@ -219,12 +206,21 @@ class Evaluator {
   std::atomic<int> full_evals_{0};
   std::atomic<int> incremental_evals_{0};
   std::atomic<long> batched_stage_evals_{0};
-  std::atomic<long> scalar_stage_evals_{0};
-  /// Reusable batched-evaluation workspace: the SoA mirror rebuilt per
-  /// evaluate() (buffers recycled) and the kernel scratch.  evaluate() is
-  /// not concurrently reentrant — each suite worker owns its Evaluator.
+  /// Reusable evaluation workspace: the SoA mirror rebuilt per evaluate()
+  /// (buffers recycled) and the sweep scratch.  evaluate() is not
+  /// concurrently reentrant — each suite worker owns its Evaluator.
   NetlistSoa soa_;
-  TransientScratch scratch_;
+  EvalScratch scratch_;
+};
+
+/// One cached stage simulation of IncrementalEvaluator: a slot's tap
+/// timings for one (corner x transition) combination, keyed on every input
+/// of the simulation that can change between evaluations.
+struct CachedTiming {
+  std::uint64_t version = 0;  ///< stage contents stamp; 0 = invalid
+  Transition in_dir = Transition::kRise;
+  Ps in_slew = 0.0;
+  std::vector<TapTiming> taps;
 };
 
 /// \brief Incremental Clock-Network Evaluation over a persistent RcNetlist.
@@ -236,14 +232,15 @@ class Evaluator {
 ///   * per-(stage x corner x source transition) transient tap timings —
 ///     the top-down delay state.
 ///
-/// evaluate() refreshes the netlist, then propagates arrival events
-/// through the stage graph re-running the transient engine only where a
-/// stage's contents or its input (direction, slew) changed; everything
-/// else reuses the cached tap timings, and only the cheap arrival-time
-/// additions are redone.  A stage is re-simulated exactly when any input
-/// of simulate_stage() differs from the cached call, so the result is
-/// **bit-identical** to Evaluator::evaluate() on the same tree — the
-/// equivalence the IVC loops (cts/pass.h) and the fuzz tests rely on.
+/// evaluate() refreshes the netlist, then runs the same CNE sweep as
+/// Evaluator::evaluate() with the tap-timing cache attached: the transient
+/// engine re-runs only where a stage's contents or its input (direction,
+/// slew) changed; everything else reuses the cached tap timings, and only
+/// the cheap arrival-time additions are redone.  A stage is re-simulated
+/// exactly when any input of the simulation differs from the cached call,
+/// so the result is **bit-identical** to Evaluator::evaluate() on the same
+/// tree — the equivalence the IVC loops (cts/pass.h) and the fuzz tests
+/// rely on.
 ///
 /// Edits reach the engine through a TreeEditSession constructed with
 /// netlist(); each evaluate() counts one simulation run (an incremental
@@ -268,19 +265,12 @@ class IncrementalEvaluator {
   /// One CNE pass over the bound tree; see class comment.  \pre bound()
   EvalResult evaluate();
 
-  /// simulate_stage() calls spent / avoided by cache hits so far —
+  /// Stage simulations spent / avoided by cache hits so far —
   /// (stage x corner x transition) units of transient work.
   long stage_sims() const { return stage_sims_; }
   long stage_reuses() const { return stage_reuses_; }
 
  private:
-  struct CachedTiming {
-    std::uint64_t version = 0;  ///< 0 = invalid
-    Transition in_dir = Transition::kRise;
-    Ps in_slew = 0.0;
-    std::vector<TapTiming> taps;
-  };
-
   Evaluator& eval_;
   const ClockTree* tree_ = nullptr;
   RcNetlist net_;
@@ -289,13 +279,7 @@ class IncrementalEvaluator {
   std::vector<std::vector<CachedTiming>> timings_;
   long stage_sims_ = 0;
   long stage_reuses_ = 0;
-  /// Batched-mode workspace: cache-missing combos of one slot are gathered
-  /// here and simulated in one simulate_stage_batch() sweep over the
-  /// netlist's SoA slice.
-  TransientScratch scratch_;
-  std::vector<BatchDrive> miss_drives_;
-  std::vector<int> miss_combos_;
-  std::vector<TapTiming> miss_taps_;
+  EvalScratch scratch_;
 };
 
 /// Effective driver resistance for a stage driver: applies supply-corner

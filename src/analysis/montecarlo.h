@@ -155,11 +155,10 @@ struct McReport {
   double wall_seconds = 0.0;
 
   /// Stage-evaluation units — (stage x corner x transition) integrations —
-  /// spent across all trials plus the nominal reference, split by engine
-  /// path.  Exactly one of the two is nonzero, depending on
-  /// McOptions::eval.batch.
+  /// spent across all trials plus the nominal reference.
   long batched_stage_evals = 0;
-  long scalar_stage_evals = 0;
+  /// Always 0; perfbench/ still reads it.
+  static constexpr long scalar_stage_evals = 0;
 
   /// Serializes the report as a JSON object (io/json); `with_samples`
   /// includes the per-trial array (one object per trial).

@@ -153,18 +153,13 @@ std::string pipeline_spec_without(const std::string& spec,
   return out;
 }
 
-std::string default_pipeline_spec(const FlowOptions& options) {
-  std::string spec = "dme,repair,insert,polarity";
-  if (options.enable_tbsz) spec += ",tbsz";
-  if (options.enable_twsz) spec += ",twsz";
-  if (options.enable_twsn) spec += ",twsn";
-  if (options.enable_bwsn) spec += ",bwsn";
-  return spec;
+std::string default_pipeline_spec() {
+  return "dme,repair,insert,polarity,tbsz,twsz,twsn,bwsn";
 }
 
 std::string resolved_pipeline_spec(const FlowOptions& options) {
   const std::string spec = trim(options.pipeline);
-  return spec.empty() ? default_pipeline_spec(options) : spec;
+  return spec.empty() ? default_pipeline_spec() : spec;
 }
 
 // ---------------------------------------------------------------- Pipeline --
@@ -198,6 +193,7 @@ std::vector<std::string> Pipeline::pass_names() const {
 FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
   FlowContext ctx(bench, options);
   ctx.result.pipeline_spec = spec_;
+  const Evaluator& counters = ctx.eval;  // simulation budget accounting
 
   for (const auto& pass : passes_) {
     // Pass boundaries are the flow's cancellation points: the tree, the
@@ -213,11 +209,10 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
     if (gated) ctx.ensure_initial();
 
     const std::string stage_name = ctx.unique_stage_name(pass->display_name());
-    const int sims_before = ctx.eval.sim_runs();
-    const int full_before = ctx.eval.full_evals();
-    const int incremental_before = ctx.eval.incremental_evals();
-    const long batched_before = ctx.eval.batched_stage_evals();
-    const long scalar_before = ctx.eval.scalar_stage_evals();
+    const int sims_before = counters.sim_runs();
+    const int full_before = counters.full_evals();
+    const int incremental_before = counters.incremental_evals();
+    const long batched_before = counters.batched_stage_evals();
     const double cpu_before = thread_cpu_seconds();
     Timer wall;
 
@@ -256,11 +251,10 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
     timing.name = stage_name;
     timing.wall_seconds = wall.seconds();
     timing.cpu_seconds = thread_cpu_seconds() - cpu_before;
-    timing.sim_runs = ctx.eval.sim_runs() - sims_before;
-    timing.full_evals = ctx.eval.full_evals() - full_before;
-    timing.incremental_evals = ctx.eval.incremental_evals() - incremental_before;
-    timing.batched_stage_evals = ctx.eval.batched_stage_evals() - batched_before;
-    timing.scalar_stage_evals = ctx.eval.scalar_stage_evals() - scalar_before;
+    timing.sim_runs = counters.sim_runs() - sims_before;
+    timing.full_evals = counters.full_evals() - full_before;
+    timing.incremental_evals = counters.incremental_evals() - incremental_before;
+    timing.batched_stage_evals = counters.batched_stage_evals() - batched_before;
     ctx.result.pass_timings.push_back(std::move(timing));
   }
 
@@ -271,11 +265,10 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
   FlowResult result = std::move(ctx.result);
   result.tree = std::move(ctx.tree);
   result.eval = ctx.current();
-  result.sim_runs = ctx.eval.sim_runs();
-  result.full_evals = ctx.eval.full_evals();
-  result.incremental_evals = ctx.eval.incremental_evals();
-  result.batched_stage_evals = ctx.eval.batched_stage_evals();
-  result.scalar_stage_evals = ctx.eval.scalar_stage_evals();
+  result.sim_runs = counters.sim_runs();
+  result.full_evals = counters.full_evals();
+  result.incremental_evals = counters.incremental_evals();
+  result.batched_stage_evals = counters.batched_stage_evals();
   result.seconds = ctx.timer().seconds();
   return result;
 }

@@ -152,12 +152,8 @@ struct SuiteReport {
   long total_incremental_evals() const;
 
   /// Stage-evaluation units — (stage x corner x transition) transient
-  /// integrations — spent across all runs (synthesis plus Monte-Carlo),
-  /// split by kernel path: batched SoA sweeps vs. scalar simulate_stage
-  /// calls.  With EvalOptions::batch on (the default) the scalar total is
-  /// 0 and vice versa; the batch-smoke CI job asserts exactly that.
+  /// integrations — spent across all runs (synthesis plus Monte-Carlo).
   long total_batched_stage_evals() const;
-  long total_scalar_stage_evals() const;
 
   /// Sum of per-run wall times.  Each run's wall time includes time its
   /// worker spent descheduled, so on an oversubscribed machine this
@@ -211,9 +207,6 @@ SuiteReport run_suite_spec(const std::string& spec, std::uint64_t seed,
 ///   CONTANGO_PIPELINE        -> pipeline_spec (cts/pipeline.h syntax)
 ///   CONTANGO_INCREMENTAL     -> flow.incremental (0 forces full
 ///                               evaluation per candidate; default 1)
-///   CONTANGO_BATCH           -> flow.eval.batch (0 forces the scalar
-///                               transient kernel; default 1, results are
-///                               bit-identical either way)
 ///   CONTANGO_SPATIAL         -> geometry engine (0 forces the reference
 ///                               linear scans instead of the spatial
 ///                               indices; default 1, results are
@@ -244,7 +237,7 @@ SuiteReport run_suite_spec(const std::string& spec, std::uint64_t seed,
 /// silently coerced: a non-numeric CONTANGO_THREADS, a negative
 /// CONTANGO_MC_TRIALS or an invalid CONTANGO_PIPELINE spec all throw with
 /// the variable named in the message.  CONTANGO_* variables that no
-/// Contango binary reads (e.g. the typo CONTANGO_BATH=0) are reported
+/// Contango binary reads (e.g. the typo CONTANGO_THREAD=4) are reported
 /// through Log::warn — a misspelled knob silently reverting to the default
 /// is the worst failure mode a benchmark harness can have.
 SuiteOptions suite_options_from_env(SuiteOptions base = {});

@@ -20,7 +20,7 @@ namespace contango {
 /// heap buffer through plain stream reads.  Both backends expose identical
 /// bytes, so every consumer is bit-identical either way — the knob exists
 /// for A/B timing runs and for filesystems where mmap misbehaves, mirroring
-/// CONTANGO_SPATIAL / CONTANGO_BATCH.
+/// CONTANGO_SPATIAL.
 
 /// True when the mmap backend is enabled: CONTANGO_MMAP unset or non-zero.
 /// Read per call so tests can flip the knob inside one process.

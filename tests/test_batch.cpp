@@ -1,9 +1,9 @@
-// Batched SoA evaluation core: the batch kernel, the SoA netlist mirror
-// and the batched full/incremental/Monte-Carlo engines must be
-// bit-identical to the scalar paths they replace — on the nominal path by
-// construction (same arithmetic through one shared integrator core), and
-// the arena allocator underneath must keep slices consistent across
-// incremental edits.
+// Batched SoA evaluation core: the batch kernel and the SoA netlist mirror
+// must be bit-identical to the scalar calls and AoS stages they mirror;
+// the one CNE sweep — cold (Evaluator), cached (IncrementalEvaluator) and
+// over perturbed Monte-Carlo trials — must be bit-identical to the scalar
+// corner-outer oracle in reference_evaluate.h; and the arena allocator
+// underneath must keep slices consistent across incremental edits.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,8 @@
 #include "rctree/extract.h"
 #include "rctree/soa.h"
 #include "util/rng.h"
+
+#include "reference_evaluate.h"
 
 namespace contango {
 namespace {
@@ -188,135 +190,59 @@ TEST(Batch, KernelRowsMatchScalarCallsExactly) {
   }
 }
 
-// ------------------------------------------------------------ full eval ----
+// -------------------------------------------------------------- oracle ----
 
-TEST(Batch, EvaluateNetlistBatchMatchesScalarOnEveryFamily) {
+/// The oracle's result for `tree`: a from-scratch extraction propagated
+/// corner-outer through the scalar kernel, plus the capacitance half.
+EvalResult reference_evaluate(const ClockTree& tree, const Benchmark& bench) {
+  const StagedNetlist net = extract_stages(tree, bench);
+  EvalResult r = reference::evaluate_netlist(net, bench, TransientSimulator{}, 10.0);
+  std::vector<Ff> sink_caps;
+  for (const Sink& s : bench.sinks) sink_caps.push_back(s.cap);
+  account_capacitance(r, tree, bench, sink_caps);
+  return r;
+}
+
+TEST(Oracle, ColdSweepMatchesReferenceOnEveryFamily) {
   for (const auto& family : ScenarioRegistry::builtin().families()) {
     SCOPED_TRACE(family.name);
     const Benchmark bench = make_scenario(family.name, 1, 24);
     const ClockTree tree = construction_tree(bench);
     const StagedNetlist net = extract_stages(tree, bench);
-    const TransientSimulator sim;
+    const EvalResult expected = reference_evaluate(tree, bench);
 
-    const EvalResult scalar = evaluate_netlist(net, bench, sim, 10.0);
+    Evaluator eval(bench);
+    expect_bit_identical(eval.evaluate(tree), expected, "Evaluator vs oracle");
+    // One stage simulation per (stage x corner x transition).
+    EXPECT_EQ(eval.batched_stage_evals(),
+              static_cast<long>(net.stages.size()) *
+                  static_cast<long>(bench.tech.corners.size()) * kNumTransitions);
+
+    // A freshly bound incremental engine starts from an empty cache.
+    IncrementalEvaluator inc(eval);
+    inc.bind(tree);
+    expect_bit_identical(inc.evaluate(), expected, "cold incremental vs oracle");
+    EXPECT_EQ(inc.stage_reuses(), 0);
+    // Nothing dirty: the second pass is pure cache replay.
+    const long sims = inc.stage_sims();
+    expect_bit_identical(inc.evaluate(), expected, "warm incremental vs oracle");
+    EXPECT_EQ(inc.stage_sims(), sims);
+
+    // The SoA mirror the sweep reads is the netlist it was built from.
     NetlistSoa soa;
     soa.build(net);
-    const EvalResult batched = evaluate_netlist_batch(net, soa, bench, sim, 10.0);
-    expect_bit_identical(batched, scalar, "batched vs scalar full propagation");
-
-    // Per-corner, per-transition, per-sink equality is asserted above;
-    // also lock the SoA mirror against the netlist it was built from.
     for (std::size_t si = 0; si < net.stages.size(); ++si) {
       expect_slice_matches_stage(soa, static_cast<int>(si), net.stages[si]);
     }
   }
 }
 
-TEST(Batch, EvaluatorCountersSplitByKernelPath) {
-  const Benchmark bench = make_scenario("uniform", 2, 20);
-  const ClockTree tree = construction_tree(bench);
-  const StagedNetlist net = extract_stages(tree, bench);
-  const long units = static_cast<long>(net.stages.size()) *
-                     static_cast<long>(bench.tech.corners.size()) *
-                     kNumTransitions;
-
-  EvalOptions batched_opts;
-  batched_opts.batch = true;
-  Evaluator batched(bench, batched_opts);
-  const EvalResult a = batched.evaluate(tree);
-  EXPECT_EQ(batched.batched_stage_evals(), units);
-  EXPECT_EQ(batched.scalar_stage_evals(), 0);
-
-  EvalOptions scalar_opts;
-  scalar_opts.batch = false;
-  Evaluator scalar(bench, scalar_opts);
-  const EvalResult b = scalar.evaluate(tree);
-  EXPECT_EQ(scalar.batched_stage_evals(), 0);
-  EXPECT_EQ(scalar.scalar_stage_evals(), units);
-
-  expect_bit_identical(a, b, "Evaluator batched vs scalar");
-
-  batched.reset_sim_runs();
-  EXPECT_EQ(batched.batched_stage_evals(), 0);
-}
-
-// ------------------------------------------------------------------ flow ----
-
-TEST(Batch, FlowIsBitIdenticalWithTheBatchKernelOnOrOff) {
-  for (const auto& family : ScenarioRegistry::builtin().families()) {
-    SCOPED_TRACE(family.name);
-    const Benchmark bench = make_scenario(family.name, 5, 16);
-
-    FlowOptions on;
-    on.eval.batch = true;
-    FlowOptions off;
-    off.eval.batch = false;
-
-    const FlowResult a = run_contango(bench, on);
-    const FlowResult b = run_contango(bench, off);
-
-    expect_bit_identical(a.eval, b.eval, "final evaluation");
-    EXPECT_EQ(a.sim_runs, b.sim_runs);
-    ASSERT_EQ(a.stages.size(), b.stages.size());
-    for (std::size_t i = 0; i < a.stages.size(); ++i) {
-      EXPECT_EQ(a.stages[i].name, b.stages[i].name);
-      EXPECT_EQ(a.stages[i].skew, b.stages[i].skew);
-      EXPECT_EQ(a.stages[i].clr, b.stages[i].clr);
-    }
-
-    // The two runs spend the same stage-evaluation budget, just through
-    // different kernel paths.
-    EXPECT_GT(a.batched_stage_evals, 0);
-    EXPECT_EQ(a.scalar_stage_evals, 0);
-    EXPECT_EQ(b.batched_stage_evals, 0);
-    EXPECT_GT(b.scalar_stage_evals, 0);
-    EXPECT_EQ(a.batched_stage_evals, b.scalar_stage_evals);
-  }
-}
-
-// ----------------------------------------------------------- incremental ----
-
-TEST(Batch, IncrementalBatchedMatchesScalarFullAfterEdits) {
-  const Benchmark bench = make_scenario("ring", 3, 24);
-  ClockTree tree = construction_tree(bench);
-
-  EvalOptions scalar_opts;
-  scalar_opts.batch = false;
-  Evaluator scalar_full(bench, scalar_opts);  // the reference engine
-
-  EvalOptions batched_opts;
-  batched_opts.batch = true;
-  Evaluator inc_owner(bench, batched_opts);
-  IncrementalEvaluator inc(inc_owner);
-  inc.bind(tree);
-
-  expect_bit_identical(inc.evaluate(), scalar_full.evaluate(tree),
-                       "cold batched incremental vs scalar full");
-  EXPECT_GT(inc_owner.batched_stage_evals(), 0);
-  EXPECT_EQ(inc_owner.scalar_stage_evals(), 0);
-
-  // Warm replay simulates nothing new — the batched counter must not move.
-  const long after_cold = inc_owner.batched_stage_evals();
-  expect_bit_identical(inc.evaluate(), scalar_full.evaluate(tree),
-                       "warm batched incremental vs scalar full");
-  EXPECT_EQ(inc_owner.batched_stage_evals(), after_cold);
-
-  std::vector<NodeId> edges;
-  for (NodeId id : tree.topological_order()) {
-    if (id != tree.root()) edges.push_back(id);
-  }
-  ASSERT_FALSE(edges.empty());
-
-  TreeEditSession session(tree, &inc.netlist());
-  session.set_wire_width(edges[edges.size() / 2], 0);
-  session.add_snake(edges[edges.size() / 3], 40.0);
-  expect_bit_identical(inc.evaluate(), scalar_full.evaluate(tree),
-                       "batched incremental vs scalar full after edits");
-  EXPECT_GT(inc_owner.batched_stage_evals(), after_cold);
-  session.commit();
-}
-
-TEST(Batch, SoaStaysConsistentUnderRandomizedIncrementalEdits) {
+// Random edit transactions, committed or rolled back like IVC candidates:
+// every evaluation through the warm cache must match a from-scratch oracle
+// run, so a cache entry reused on a stale key (contents, input direction
+// or input slew) shows as a timing mismatch; and the SoA arena under the
+// netlist must stay consistent through splits, merges and rewrites.
+TEST(Oracle, IncrementalSweepMatchesReferenceUnderRandomizedEdits) {
   for (const char* family : {"uniform", "high_fanout", "mixed_cap"}) {
     SCOPED_TRACE(family);
     const Benchmark bench = make_scenario(family, 11, 20);
@@ -325,7 +251,7 @@ TEST(Batch, SoaStaysConsistentUnderRandomizedIncrementalEdits) {
     Evaluator inc_owner(bench);
     IncrementalEvaluator inc(inc_owner);
     inc.bind(tree);
-    (void)inc.evaluate();
+    expect_bit_identical(inc.evaluate(), reference_evaluate(tree, bench), "bind");
     expect_soa_consistent(inc.netlist());
 
     Rng rng(0x50A ^ std::hash<std::string>{}(family));
@@ -375,11 +301,22 @@ TEST(Batch, SoaStaysConsistentUnderRandomizedIncrementalEdits) {
           }
           break;
       }
-      if (edits > 0) session.commit();
+      if (edits > 0) {
+        expect_bit_identical(inc.evaluate(), reference_evaluate(tree, bench),
+                             "candidate");
+        if (session.can_rollback() && rng.uniform_int(0, 1) == 0) {
+          session.rollback();
+        } else {
+          session.commit();
+        }
+      }
       tree.validate();
-      (void)inc.evaluate();  // refresh + re-simulate through the SoA slices
+      expect_bit_identical(inc.evaluate(), reference_evaluate(tree, bench),
+                           "after commit/rollback");
       expect_soa_consistent(inc.netlist());
     }
+    EXPECT_GT(inc.stage_reuses(), 0);
+    EXPECT_EQ(inc_owner.batched_stage_evals(), inc.stage_sims());
   }
 }
 
@@ -439,9 +376,11 @@ TEST(Batch, ArenaGrowsRewritesInPlaceAndRecycles) {
 
 // ------------------------------------------------------------ Monte-Carlo ----
 
-TEST(Batch, MonteCarloBatchedMatchesScalarAtFixedSeeds) {
+TEST(Oracle, MonteCarloTrialsMatchReferenceAtFixedSeeds) {
   const Benchmark bench = make_scenario("clustered", 9, 20);
   const ClockTree tree = construction_tree(bench);
+  const StagedNetlist base = extract_stages(tree, bench);
+  const TransientSimulator sim;
 
   VariationModel model;
   model.seed = 77;
@@ -450,48 +389,44 @@ TEST(Batch, MonteCarloBatchedMatchesScalarAtFixedSeeds) {
   model.sigma_wire_c = 0.03;
   model.sigma_sink_cap = 0.02;
 
-  McOptions batched;
-  batched.trials = 40;  // spans more than one 32-trial block
-  batched.threads = 1;
-  batched.eval.batch = true;
-  McOptions scalar = batched;
-  scalar.eval.batch = false;
+  McOptions options;
+  options.trials = 40;  // spans more than one 32-trial block
+  options.threads = 1;
+  const McReport report = run_montecarlo(bench, tree, model, options);
 
-  const McReport a = run_montecarlo(bench, tree, model, batched);
-  const McReport b = run_montecarlo(bench, tree, model, scalar);
+  ASSERT_EQ(report.samples.size(), 40u);
+  StagedNetlist scratch;
+  for (int trial = 0; trial < options.trials; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const TrialVariation v = sample_trial(model, bench.tech, trial,
+                                          base.stages.size(), bench.sinks.size());
+    reference::apply_variation(base, v, scratch);
+    const EvalResult expected =
+        reference::evaluate_netlist(scratch, bench, sim, 10.0, &v.stage_vdd_delta);
+    const McTrial& t = report.samples[static_cast<std::size_t>(trial)];
+    EXPECT_EQ(t.skew, expected.nominal_skew);
+    EXPECT_EQ(t.clr, expected.clr);
+    EXPECT_EQ(t.max_latency, expected.max_latency);
+    EXPECT_EQ(t.worst_slew, expected.worst_slew);
+    EXPECT_EQ(t.constraint_violation, expected.constraint_violation());
+    EXPECT_EQ(t.legal, !expected.slew_violation && expected.all_sinks_reached);
 
-  // Documented MC tolerance: the batched trial path replays the scalar
-  // arithmetic element-for-element (SoA variation scaling is element-local
-  // and the summation order over 32-trial blocks is fixed), so the paths
-  // agree to well below 1e-9 ps — in practice exactly.
-  constexpr double kTol = 1e-9;
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_NEAR(a.samples[i].skew, b.samples[i].skew, kTol);
-    EXPECT_NEAR(a.samples[i].clr, b.samples[i].clr, kTol);
-    EXPECT_NEAR(a.samples[i].max_latency, b.samples[i].max_latency, kTol);
-    EXPECT_EQ(a.samples[i].legal, b.samples[i].legal);
+    // The cold sweep itself, on the perturbed trial, per sink.
+    NetlistSoa soa;
+    soa.build(scratch);
+    expect_bit_identical(evaluate_netlist(base, soa, bench, sim, 10.0,
+                                          &v.stage_vdd_delta),
+                         expected, "perturbed trial vs oracle");
   }
-  EXPECT_NEAR(a.skew.mean, b.skew.mean, kTol);
-  EXPECT_NEAR(a.skew.stddev, b.skew.stddev, kTol);
-  EXPECT_NEAR(a.skew.p95, b.skew.p95, kTol);
-  EXPECT_NEAR(a.clr.mean, b.clr.mean, kTol);
-  EXPECT_NEAR(a.clr.p99, b.clr.p99, kTol);
-  EXPECT_NEAR(a.max_latency.max, b.max_latency.max, kTol);
-  EXPECT_EQ(a.yield, b.yield);
-  EXPECT_EQ(a.legal_fraction, b.legal_fraction);
-  expect_bit_identical(a.nominal, b.nominal, "MC nominal reference");
 
-  // Counter split: (trials + nominal) x stages x corners x transitions.
-  const StagedNetlist net = extract_stages(tree, bench);
-  const long units = static_cast<long>(batched.trials + 1) *
-                     static_cast<long>(net.stages.size()) *
-                     static_cast<long>(bench.tech.corners.size()) *
-                     kNumTransitions;
-  EXPECT_EQ(a.batched_stage_evals, units);
-  EXPECT_EQ(a.scalar_stage_evals, 0);
-  EXPECT_EQ(b.batched_stage_evals, 0);
-  EXPECT_EQ(b.scalar_stage_evals, units);
+  expect_bit_identical(report.nominal, reference_evaluate(tree, bench),
+                       "MC nominal reference");
+
+  // (trials + nominal) x stages x corners x transitions.
+  EXPECT_EQ(report.batched_stage_evals,
+            static_cast<long>(options.trials + 1) *
+                static_cast<long>(base.stages.size()) *
+                static_cast<long>(bench.tech.corners.size()) * kNumTransitions);
 }
 
 }  // namespace

@@ -105,8 +105,10 @@ TEST(EvaluatorEdge, SimRunCounterAndReset) {
   eval.evaluate(tree);
   eval.evaluate(tree);
   EXPECT_EQ(eval.sim_runs(), 2);
+  EXPECT_GT(eval.batched_stage_evals(), 0);
   eval.reset_sim_runs();
   EXPECT_EQ(eval.sim_runs(), 0);
+  EXPECT_EQ(eval.batched_stage_evals(), 0);
 }
 
 TEST(BalancedInsertion, EqualCountsEvenOnSkewedTrees) {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "cts/pipeline.h"
-#include "cts/scenario.h"
 #include "netlist/generators.h"
 
 namespace contango {
@@ -77,21 +76,6 @@ TEST(PipelineSpec, ContainsAndWithoutHelpers) {
   EXPECT_THROW(pipeline_spec_contains("dme,,twsz", "dme"), PipelineError);
 }
 
-TEST(PipelineSpec, DefaultSpecHonorsLegacyStageSwitches) {
-  EXPECT_EQ(default_pipeline_spec(),
-            "dme,repair,insert,polarity,tbsz,twsz,twsn,bwsn");
-  FlowOptions options;
-  options.enable_twsn = false;
-  EXPECT_EQ(default_pipeline_spec(options),
-            "dme,repair,insert,polarity,tbsz,twsz,bwsn");
-  options.enable_tbsz = options.enable_twsz = options.enable_bwsn = false;
-  EXPECT_EQ(default_pipeline_spec(options), "dme,repair,insert,polarity");
-
-  // resolved: explicit spec wins over the switches.
-  options.pipeline = "dme,repair,insert,polarity,twsn";
-  EXPECT_EQ(resolved_pipeline_spec(options), options.pipeline);
-}
-
 TEST(PipelineRegistry, BuiltinCarriesTheEightStockPasses) {
   const std::vector<std::string> expected{"dme",  "repair", "insert",
                                           "polarity", "tbsz", "twsz",
@@ -110,60 +94,6 @@ TEST(PipelineRegistry, RejectsDuplicateRegistration) {
 }
 
 // -------------------------------------------------------------- execution --
-
-/// Full bit-identicality check between two flow results: tree shape,
-/// metrics, simulation budget and stage trajectory.
-void expect_identical(const FlowResult& a, const FlowResult& b) {
-  EXPECT_EQ(a.eval.nominal_skew, b.eval.nominal_skew);
-  EXPECT_EQ(a.eval.clr, b.eval.clr);
-  EXPECT_EQ(a.eval.max_latency, b.eval.max_latency);
-  EXPECT_EQ(a.eval.worst_slew, b.eval.worst_slew);
-  EXPECT_EQ(a.eval.total_cap, b.eval.total_cap);
-  EXPECT_EQ(a.sim_runs, b.sim_runs);
-  EXPECT_EQ(a.tree.size(), b.tree.size());
-  EXPECT_EQ(a.tree.buffer_count(), b.tree.buffer_count());
-  EXPECT_EQ(a.buffer.inverter_type, b.buffer.inverter_type);
-  EXPECT_EQ(a.buffer.count, b.buffer.count);
-  ASSERT_EQ(a.stages.size(), b.stages.size());
-  for (std::size_t i = 0; i < a.stages.size(); ++i) {
-    EXPECT_EQ(a.stages[i].name, b.stages[i].name);
-    EXPECT_EQ(a.stages[i].skew, b.stages[i].skew);
-    EXPECT_EQ(a.stages[i].clr, b.stages[i].clr);
-    EXPECT_EQ(a.stages[i].cap, b.stages[i].cap);
-    EXPECT_EQ(a.stages[i].sim_runs, b.stages[i].sim_runs);
-  }
-}
-
-// The acceptance lock of the pass-pipeline redesign: on every registered
-// scenario family, the legacy entry point (which resolves the default
-// spec) and an explicitly built default pipeline agree bit for bit.
-TEST(Pipeline, DefaultPipelineMatchesLegacyOnEveryFamily) {
-  for (const auto& family : ScenarioRegistry::builtin().families()) {
-    const Benchmark bench = make_scenario(family.name, 1);
-    const FlowResult legacy = run_contango(bench);
-    Pipeline pipeline =
-        Pipeline::from_spec("dme,repair,insert,polarity,tbsz,twsz,twsn,bwsn");
-    const FlowResult explicit_run = pipeline.run(bench);
-    SCOPED_TRACE(family.name);
-    expect_identical(legacy, explicit_run);
-    EXPECT_EQ(explicit_run.pipeline_spec,
-              "dme,repair,insert,polarity,tbsz,twsz,twsn,bwsn");
-  }
-}
-
-// Legacy stage switches are pure sugar over specs: enable_twsn=false is
-// the spec without twsn.
-TEST(Pipeline, LegacyBoolEquivalentToSpecWithoutPass) {
-  const Benchmark bench = generate_ispd_like(ispd09_suite_params(3));
-  FlowOptions by_bool;
-  by_bool.enable_twsn = false;
-  const FlowResult a = run_contango(bench, by_bool);
-
-  FlowOptions by_spec;
-  by_spec.pipeline = "dme,repair,insert,polarity,tbsz,twsz,bwsn";
-  const FlowResult b = run_contango(bench, by_spec);
-  expect_identical(a, b);
-}
 
 TEST(Pipeline, PassTimingsCoverEveryPassInOrder) {
   const Benchmark bench = generate_ispd_like(ispd09_suite_params(3));

@@ -7,12 +7,14 @@
 // one-drive-at-a-time integrator kept verbatim in reference_transient.h —
 // across every lane-group shape, lanes finishing far apart, long dead
 // prefixes, taps cut off at the stop time and degenerate stages.  The
-// golden test pins the absolute skew/CLR/latency/cap of one small flow, so
-// a change that moves every mode together still fails.
+// golden table pins the absolute skew/CLR/latency/cap of the default flow
+// on every scenario family, so a change that moves every mode together
+// still fails.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -188,19 +190,60 @@ TEST(LaneKernel, MatchesReferenceOnDegenerateStages) {
 
 // ---------------------------------------------------------------- golden --
 
-TEST(Golden, DefaultFlowOnHuge200Seed1) {
-  // Absolute values of the default 8-pass flow, recorded at %.17g before
-  // the kernel ran its drives as lanes; every later kernel must reproduce
-  // them exactly.
-  const Benchmark bench = make_scenario("huge", 1, 200);
-  const FlowResult r = run_contango(bench);
-  EXPECT_EQ(r.eval.nominal_skew, 91.080572723452406);
-  EXPECT_EQ(r.eval.clr, 213.99491530711884);
-  EXPECT_EQ(r.eval.max_latency, 1946.1839547751956);
-  EXPECT_EQ(r.eval.total_cap, 158467.95574183317);
-  EXPECT_EQ(r.eval.worst_slew, 286.17791538650675);
-  EXPECT_EQ(r.sim_runs, 21);
-  EXPECT_EQ(r.batched_stage_evals, 33379);
+/// One pinned default-flow run: family at seed 1 and `sinks` (0 = the
+/// family's default size), with its absolute metrics.
+struct GoldenRow {
+  const char* family;
+  int sinks;
+  double skew, clr, max_latency, cap, worst_slew;
+  int sim_runs;
+  long stage_evals;
+};
+
+// Absolute values of the default 8-pass flow, recorded at %.17g by a
+// program linked against the library before the full, batched-MC and
+// incremental evaluators became one sweep; the huge:200 row predates the
+// lane kernel.  Every later engine must reproduce them exactly.
+constexpr GoldenRow kGolden[] = {
+    {"uniform", 0, 19.780766672024356, 68.300888344348323, 1094.413437515763,
+     85640.732110263532, 119.67240699404732, 32, 27698},
+    {"clustered", 0, 4.1165970249404609, 33.933413657002234, 799.48699770118969,
+     96626.078763304875, 79.832147662179835, 34, 16420},
+    {"ring", 0, 10.963771958623283, 43.891346193051277, 781.42863057954605,
+     71453.778093269633, 106.01380620973531, 36, 22440},
+    {"obstacle_dense", 0, 82.762126220885648, 196.01379359838029, 1834.8056251770863,
+     99643.385946042443, 296.59034549547948, 16, 17770},
+    {"high_fanout", 0, 9.5447959491119718, 34.211671832403113, 724.78813459772516,
+     137767.52851838651, 90.412171146328873, 38, 38308},
+    {"mixed_cap", 0, 10.495649352731107, 41.261408838417083, 924.73652727990213,
+     100955.32461809607, 89.777434708263257, 31, 21781},
+    {"huge", 0, 20.165782844591604, 100.80798464906434, 1765.2385697859822,
+     516801.00626899517, 119.08595438365015, 25, 120235},
+    {"multidomain", 0, 7.0228067880120761, 37.847083678958711, 840.96257607038422,
+     91703.392098234326, 88.450280539553702, 32, 16692},
+    {"usefulskew", 0, 29.712478733956686, 168.28303915414131, 1511.4402819232264,
+     98380.071392216865, 577.04760909058564, 25, 15012},
+    {"mega", 0, 35.446875081095641, 171.43664683368479, 2933.3368449055761,
+     1076889.8691852982, 119.32136642788106, 26, 228269},
+    {"huge", 200, 91.080572723452406, 213.99491530711884, 1946.1839547751956,
+     158467.95574183317, 286.17791538650675, 21, 33379},
+};
+
+TEST(Golden, DefaultFlowOnEveryFamilySeed1) {
+  // Every registered family has a row (plus the extra huge:200 one).
+  ASSERT_EQ(std::size(kGolden), ScenarioRegistry::builtin().families().size() + 1);
+  for (const GoldenRow& g : kGolden) {
+    SCOPED_TRACE(std::string(g.family) + ":" + std::to_string(g.sinks));
+    const FlowResult r = run_contango(make_scenario(g.family, 1, g.sinks));
+    EXPECT_EQ(r.eval.nominal_skew, g.skew);
+    EXPECT_EQ(r.eval.clr, g.clr);
+    EXPECT_EQ(r.eval.max_latency, g.max_latency);
+    EXPECT_EQ(r.eval.total_cap, g.cap);
+    EXPECT_EQ(r.eval.worst_slew, g.worst_slew);
+    EXPECT_EQ(r.sim_runs, g.sim_runs);
+    EXPECT_EQ(r.batched_stage_evals, g.stage_evals);
+    EXPECT_EQ(r.pipeline_spec, "dme,repair,insert,polarity,tbsz,twsz,twsn,bwsn");
+  }
 }
 
 }  // namespace
