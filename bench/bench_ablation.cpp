@@ -1,12 +1,12 @@
-// Ablation study over the design choices DESIGN.md calls out:
-//   * each optimization stage disabled in turn (what does TBSZ/TWSZ/TWSN/
-//     BWSN individually buy?);
+// Ablation study over the construction choices DESIGN.md calls out (the
+// per-stage ablation is bench_table3_ablation):
 //   * delay-contour balanced insertion instead of van Ginneken + stage
 //     equalization (why the flow rejects the contour inserter: its stage
 //     capacitances blow up in low-delay-gradient regions);
 //   * Elmore-balance DME instead of pathlength-balance DME.
 
 #include <cstdio>
+#include <exception>
 
 #include "analysis/evaluate.h"
 #include "cts/balanced_insertion.h"
@@ -22,36 +22,15 @@
 using namespace contango;
 
 int main() {
-  const int index = static_cast<int>(env_long("CONTANGO_ABLATION_BENCHMARK", 3));
+  int index = 0;
+  try {
+    index = static_cast<int>(env_long_strict("CONTANGO_ABLATION_BENCHMARK", 3));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bad environment: %s\n", e.what());
+    return 1;
+  }
   const Benchmark bench = generate_ispd_like(ispd09_suite_params(index));
   std::printf("== Ablation studies on %s ==\n\n", bench.name.c_str());
-
-  // ---- Stage ablation, driven by pipeline specs (cts/pipeline.h). ----
-  struct Variant {
-    const char* name;
-    const char* spec;
-  };
-  const Variant variants[] = {
-      {"full flow", "dme,repair,insert,polarity,tbsz,twsz,twsn,bwsn"},
-      {"no TBSZ", "dme,repair,insert,polarity,twsz,twsn,bwsn"},
-      {"no TWSZ", "dme,repair,insert,polarity,tbsz,twsn,bwsn"},
-      {"no TWSN", "dme,repair,insert,polarity,tbsz,twsz,bwsn"},
-      {"no BWSN", "dme,repair,insert,polarity,tbsz,twsz,twsn"},
-      {"construction only", "dme,repair,insert,polarity"},
-  };
-  TextTable stage_table({"Variant", "Pipeline", "Skew, ps", "CLR, ps",
-                         "Cap, fF", "Sims"});
-  for (const Variant& v : variants) {
-    FlowOptions options;
-    options.pipeline = v.spec;
-    const FlowResult r = run_contango(bench, options);
-    stage_table.add_row({v.name, v.spec, TextTable::num(r.eval.nominal_skew, 3),
-                         TextTable::num(r.eval.clr, 2),
-                         TextTable::num(r.eval.total_cap, 0),
-                         std::to_string(r.sim_runs)});
-    std::fflush(stdout);
-  }
-  std::printf("-- stage ablation --\n%s\n", stage_table.to_string().c_str());
 
   // ---- Insertion-strategy ablation. ----
   // Front-end (ZST + repair + rebalance) shared by both inserters.

@@ -10,6 +10,7 @@
 // substrate) but the trajectory must hold.
 
 #include <cstdio>
+#include <exception>
 
 #include "cts/flow.h"
 #include "io/table.h"
@@ -26,7 +27,13 @@ int main() {
   TextTable table({"Benchmark", "INITIAL CLR/skew", "TBSZ CLR/skew",
                    "TWSZ CLR/skew", "TWSN CLR/skew", "BWSN CLR/skew", "sims"});
 
-  const long limit = env_long("CONTANGO_TABLE3_BENCHMARKS", 7);
+  long limit = 0;
+  try {
+    limit = env_long_strict("CONTANGO_TABLE3_BENCHMARKS", 7);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bad environment: %s\n", e.what());
+    return 1;
+  }
   for (int i = 0; i < static_cast<int>(limit) && i < 7; ++i) {
     const Benchmark bench = generate_ispd_like(ispd09_suite_params(i));
     const FlowResult r = run_contango(bench);

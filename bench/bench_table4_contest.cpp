@@ -23,6 +23,7 @@
 //   CONTANGO_WORKLOADS=benchmarks ./bench_table4_contest
 //   CONTANGO_WORKLOADS=ring,obstacle_dense:200 CONTANGO_SEED=7 ./bench_table4_contest
 
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <vector>
@@ -54,12 +55,15 @@ int main() {
   std::printf("== Table IV: results on the CNS benchmark suite ==\n");
   std::printf("(CLR in ps; Cap in %% of the benchmark limit; CPU in s)\n\n");
 
-  const long limit = env_long("CONTANGO_TABLE4_BENCHMARKS", 7);
+  long limit = 0;
+  std::uint64_t seed = 0;
   // CONTANGO_THREADS, CONTANGO_PIPELINE, CONTANGO_MC_TRIALS/
   // CONTANGO_MC_SIGMA_VDD (optional per-benchmark Monte-Carlo pass) and
   // CONTANGO_JSON_OUT (machine-readable report for CI perf tracking).
   SuiteOptions options;
   try {
+    limit = env_long_strict("CONTANGO_TABLE4_BENCHMARKS", 7);
+    seed = static_cast<std::uint64_t>(env_long_strict("CONTANGO_SEED", 1));
     options = suite_options_from_env();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bad environment: %s\n", e.what());
@@ -76,7 +80,6 @@ int main() {
   std::vector<Benchmark> suite;
   const std::string workloads = env_string("CONTANGO_WORKLOADS", "");
   if (!workloads.empty()) {
-    const auto seed = static_cast<std::uint64_t>(env_long("CONTANGO_SEED", 1));
     try {
       suite = collect_workloads(workloads, seed);
     } catch (const std::exception& e) {

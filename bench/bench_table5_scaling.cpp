@@ -21,18 +21,18 @@
 // cts/scenario.h: uniform, clustered, ring, obstacle_dense, high_fanout,
 // mixed_cap, huge, mega) to run the same scaling sweep over that family
 // instead of the TI-style chip; CONTANGO_SEED picks the instance.  The
-// `huge` family reaches 100k+ sinks and `mega` the 1M tier;
-// CONTANGO_SPATIAL=0 forces the reference linear-scan geometry paths for
-// index-vs-scan scaling comparisons (results are bit-identical, only the
-// time changes).
+// `huge` family reaches 100k+ sinks and `mega` the 1M tier.
 //
 // Set CONTANGO_WORKLOADS to a collect_workloads() spec (family names,
 // .bench/.cbench files, directories — see cts/scenario.h) to run exactly
 // those workloads instead of a sweep.  Loading is timed per benchmark and
 // lands in the JSON report as `load_seconds`, which is how the trajectory
-// compares text-parse vs. binary-mmap load cost (CONTANGO_MMAP=0 forces
-// the buffered fallback; results are bit-identical).
+// compares text-parse vs. binary-mmap load cost.
+//
+// A malformed numeric knob (CONTANGO_SEED=abc, CONTANGO_MAX_SINKS=20k) is
+// rejected with exit code 1 and the variable named on stderr.
 
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <vector>
@@ -47,15 +47,17 @@
 using namespace contango;
 
 int main() {
-  const long max_sinks = env_long("CONTANGO_MAX_SINKS", 10000);
   const std::string scenario = env_string("CONTANGO_SCENARIO", "");
   const std::string workloads = env_string("CONTANGO_WORKLOADS", "");
-  const auto seed = static_cast<std::uint64_t>(env_long("CONTANGO_SEED", 1));
 
+  long max_sinks = 0;
+  std::uint64_t seed = 0;
   // CONTANGO_THREADS, CONTANGO_PIPELINE, the optional CONTANGO_MC_*
   // Monte-Carlo pass, and CONTANGO_JSON_OUT for the machine-readable report.
   SuiteOptions options;
   try {
+    max_sinks = env_long_strict("CONTANGO_MAX_SINKS", 10000);
+    seed = static_cast<std::uint64_t>(env_long_strict("CONTANGO_SEED", 1));
     options = suite_options_from_env();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bad environment: %s\n", e.what());
@@ -132,8 +134,7 @@ int main() {
               report.process_cpu_seconds / report.wall_seconds,
               report.total_sim_runs());
   // The incremental engine's scorecard: how many candidate evaluations
-  // re-propagated only dirty paths instead of the whole tree
-  // (CONTANGO_INCREMENTAL=0 forces every evaluation full for comparison).
+  // re-propagated only dirty paths instead of the whole tree.
   std::printf("evaluation split: %ld full-tree propagations, %ld incremental\n",
               report.total_full_evals(), report.total_incremental_evals());
   std::printf("Set CONTANGO_MAX_SINKS=50000 to run the paper's full sweep.\n");

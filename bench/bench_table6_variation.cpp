@@ -23,8 +23,10 @@
 //   CONTANGO_MC_TRIALS=256 ./bench_table6_variation
 //   CONTANGO_WORKLOADS=benchmarks CONTANGO_JSON_OUT=mc.json ./bench_table6_variation
 
+#include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 #include <vector>
 
 #include "cts/scenario.h"
@@ -40,8 +42,21 @@ int main() {
 
   SuiteOptions options;
   options.mc_trials = 64;  // before env so CONTANGO_MC_TRIALS overrides
+  std::uint64_t seed = 0;
   try {
     options = suite_options_from_env(options);
+    options.variation.sigma_wire_r =
+        env_double_strict("CONTANGO_MC_SIGMA_WIRE", 0.03);
+    if (options.variation.sigma_wire_r < 0.0) {
+      throw std::runtime_error("CONTANGO_MC_SIGMA_WIRE must be >= 0");
+    }
+    options.variation.sigma_wire_c = options.variation.sigma_wire_r;
+    options.variation.sigma_sink_cap =
+        env_double_strict("CONTANGO_MC_SIGMA_SINK", 0.02);
+    if (options.variation.sigma_sink_cap < 0.0) {
+      throw std::runtime_error("CONTANGO_MC_SIGMA_SINK must be >= 0");
+    }
+    seed = static_cast<std::uint64_t>(env_long_strict("CONTANGO_SEED", 1));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bad environment: %s\n", e.what());
     return 1;
@@ -55,10 +70,6 @@ int main() {
   install_signal_cancel();
   options.flow.cancel = signal_cancel_token();
 
-  options.variation.sigma_wire_r = env_double("CONTANGO_MC_SIGMA_WIRE", 0.03);
-  options.variation.sigma_wire_c = options.variation.sigma_wire_r;
-  options.variation.sigma_sink_cap = env_double("CONTANGO_MC_SIGMA_SINK", 0.02);
-
   std::printf("(%d trials/bench; sigma_vdd %.3f, sigma_wire %.3f, "
               "sigma_sink %.3f; skew target %.1f ps)\n\n",
               options.mc_trials, options.variation.sigma_vdd,
@@ -66,7 +77,6 @@ int main() {
               options.mc_skew_target);
 
   const std::string spec = env_string("CONTANGO_WORKLOADS", "uniform,ring,clustered");
-  const auto seed = static_cast<std::uint64_t>(env_long("CONTANGO_SEED", 1));
   SuiteReport report;
   try {
     report = run_suite_spec(spec, seed, options);

@@ -26,8 +26,6 @@ Usage:
                                       [--max-sinks 2000] [--threads 1]
                                       [--scenario huge] [--seed 1]
                                       [--workloads mega_1m.cbench]
-                                      [--force-full] [--force-scan]
-                                      [--force-buffered]
 
 ``--workloads`` (table5 only) runs a collect_workloads() spec — scenario
 families, ``.bench``/``.cbench`` files, directories — instead of a sweep;
@@ -98,14 +96,6 @@ def main() -> int:
                              "run exactly these workloads (family names, "
                              ".bench/.cbench files, directories) instead of "
                              "a sink-count sweep; records load_seconds")
-    parser.add_argument("--force-full", action="store_true",
-                        help="set CONTANGO_INCREMENTAL=0 (baseline comparison runs)")
-    parser.add_argument("--force-scan", action="store_true",
-                        help="set CONTANGO_SPATIAL=0 (linear-scan geometry "
-                             "comparison runs)")
-    parser.add_argument("--force-buffered", action="store_true",
-                        help="set CONTANGO_MMAP=0 (buffered-read .cbench "
-                             "loading instead of mmap)")
     args = parser.parse_args()
 
     build_dir = pathlib.Path(args.build_dir)
@@ -140,19 +130,10 @@ def main() -> int:
     if args.workloads:
         env["CONTANGO_WORKLOADS"] = args.workloads
         env["CONTANGO_SEED"] = str(args.seed)
-    if args.force_full:
-        env["CONTANGO_INCREMENTAL"] = "0"
-    if args.force_scan:
-        env["CONTANGO_SPATIAL"] = "0"
-    if args.force_buffered:
-        env["CONTANGO_MMAP"] = "0"
 
     config = {
         "binary": BENCH_BINARIES[args.bench],
         "threads": args.threads,
-        "incremental": not args.force_full,
-        "spatial": not args.force_scan,
-        "mmap": not args.force_buffered,
     }
     if args.bench == "table5":
         config["max_sinks"] = args.max_sinks
@@ -163,9 +144,7 @@ def main() -> int:
             config["workloads"] = args.workloads
             config["seed"] = args.seed
 
-    print(f"bench_snapshot: running {bench} "
-          f"(threads={args.threads}, incremental={int(config['incremental'])}, "
-          f"spatial={int(config['spatial'])})")
+    print(f"bench_snapshot: running {bench} (threads={args.threads})")
     result = subprocess.run([str(bench)], env=env)
     if result.returncode != 0:
         print(f"bench_snapshot: {BENCH_BINARIES[args.bench]} failed",

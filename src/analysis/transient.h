@@ -8,8 +8,6 @@
 
 namespace contango {
 
-class ElmoreStage;  // analysis/elmore.h
-
 /// Timing measured at one tap of a stage by waveform analysis.
 struct TapTiming {
   Ps delay = 0.0;  ///< driver-input 50% crossing to tap 50% crossing
@@ -24,7 +22,7 @@ struct TransientOptions {
   Ps min_step = 0.02;
   Ps max_step = 2.0;
 
-  /// Driver waveform model constants (see simulate_stage).
+  /// Driver waveform model constants (see simulate_stage_batch).
   double slew_to_delay = 0.12;  ///< extra driver delay per ps of input slew
   double slew_feedthrough = 0.5;  ///< source ramp lengthening per ps input slew
   Ps ramp_base = 2.0;             ///< minimum source ramp duration
@@ -69,12 +67,6 @@ struct TransientScratch {
     double t10 = -1.0, t50 = -1.0, t90 = -1.0;
   };
   std::vector<Crossings> cross;
-
-  // AoS -> SoA packing buffers of the scalar simulate_stage wrapper.
-  std::vector<Ff> pack_cap;
-  std::vector<KOhm> pack_res;
-  std::vector<int> pack_parent;
-  std::vector<int> pack_tap_rc;
 };
 
 /// SPICE-substitute engine: trapezoidal integration of each stage's RC tree
@@ -102,10 +94,7 @@ struct TransientScratch {
 /// one drive's serial tree elimination and divide chain behind the other
 /// lanes' work; each lane still performs exactly the arithmetic of a lone
 /// drive, in the same order, so a drive's result does not depend on the
-/// group it rides in.  simulate_stage() is the scalar wrapper: it packs
-/// the AoS stage into a thread-local scratch and runs the same core with a
-/// batch of one (a one-lane group), so scalar and batched results are
-/// bit-identical by construction.
+/// group it rides in.
 class TransientSimulator {
  public:
   /// Widest lane group simulate_stage_batch() runs in lockstep.
@@ -113,19 +102,6 @@ class TransientSimulator {
 
   explicit TransientSimulator(TransientOptions options = {})
       : options_(options) {}
-
-  /// Simulates one stage.  `r_drv` is the effective driver resistance,
-  /// `intrinsic` the effective driver intrinsic delay, `input_slew` the
-  /// 10-90% transition time at the driver input.  Returns one TapTiming per
-  /// stage tap (same order as stage.taps).
-  ///
-  /// `elmore` optionally supplies the stage's Elmore sweep (used for
-  /// timestep selection); pass the ElmoreCache entry of the stage to skip
-  /// rebuilding it per call.  It must have been built from `stage`'s
-  /// current contents; results are bit-identical either way.
-  std::vector<TapTiming> simulate_stage(const Stage& stage, KOhm r_drv,
-                                        Ps intrinsic, Ps input_slew,
-                                        const ElmoreStage* elmore = nullptr) const;
 
   /// Batched integrator core: simulates `stage` once per entry of
   /// `drives[0..count)`, writing `out[b * stage.num_taps + k]` for drive b,
@@ -138,8 +114,8 @@ class TransientSimulator {
   /// freezes its time and crossings while the others go on.  Steps before
   /// a lane's source starts to ramp are skipped without a solve, since
   /// they leave the state at exactly +0.  Each lane runs exactly the
-  /// scalar arithmetic, so every row is bit-identical to the
-  /// simulate_stage() call with the same drive.
+  /// arithmetic of a batch of one, so every row is bit-identical to a
+  /// one-drive call with the same drive.
   ///
   /// `elmore` optionally borrows a prebuilt sweep (ElmoreCache entry built
   /// from the same stage contents); null computes it in-kernel.

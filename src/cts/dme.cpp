@@ -36,55 +36,6 @@ struct MergeItem {
   Um e_left = 0.0, e_right = 0.0;  ///< planned wire lengths to children
 };
 
-/// Exact nearest-neighbour search over the active merge items, by
-/// merge-region distance with (distance, item index) tie-breaking.
-///
-/// Two interchangeable engines: a kd-tree over the regions (O(log n)
-/// amortized per query) and the reference linear scan (CONTANGO_SPATIAL=0).
-/// Both compute the identical lexicographic argmin with the identical
-/// TiltedRect::distance bits, so the merge forests they drive are equal.
-class NeighbourFinder {
- public:
-  NeighbourFinder(const std::vector<MergeItem>& items,
-                  const std::vector<int>& active, bool use_index)
-      : items_(items), active_(active), use_index_(use_index) {
-    if (!use_index_) return;
-    std::vector<TiltedNnIndex::Entry> entries;
-    entries.reserve(active.size());
-    for (int idx : active) {
-      entries.push_back(TiltedNnIndex::Entry{
-          items[static_cast<std::size_t>(idx)].region, idx});
-    }
-    index_ = TiltedNnIndex(std::move(entries));
-  }
-
-  /// Nearest active item to `self`, or -1 when `self` is the only one.
-  int nearest(int self) const {
-    const TiltedRect& me = items_[static_cast<std::size_t>(self)].region;
-    if (use_index_) {
-      return index_.nearest(me, [self](int cand) { return cand != self; });
-    }
-    int best = -1;
-    double best_d = 0.0;
-    for (int cand : active_) {
-      if (cand == self) continue;
-      const double d =
-          me.distance(items_[static_cast<std::size_t>(cand)].region);
-      if (best < 0 || d < best_d || (d == best_d && cand < best)) {
-        best = cand;
-        best_d = d;
-      }
-    }
-    return best;
-  }
-
- private:
-  const std::vector<MergeItem>& items_;
-  const std::vector<int>& active_;
-  bool use_index_ = true;
-  TiltedNnIndex index_;
-};
-
 }  // namespace
 
 ZstMerge zero_skew_merge(Ps t_a, Ff c_a, Ps t_b, Ff c_b, Um dist, KOhm r,
@@ -159,13 +110,17 @@ ClockTree build_zst(const Benchmark& bench, const DmeOptions& options) {
     items.push_back(item);
   }
 
-  // Bottom-up: rounds of greedy nearest-neighbour matching.  The NN engine
-  // (kd-tree vs reference scan) follows CONTANGO_SPATIAL; both produce the
-  // same (distance, index)-lexicographic neighbours, so the topology is
-  // bit-identical either way.
-  const bool use_index = spatial_index_enabled();
+  // Bottom-up: rounds of greedy nearest-neighbour matching.  A kd-tree over
+  // the active regions answers each item's (distance, index)-lexicographic
+  // nearest neighbour.
   while (active.size() > 1) {
-    NeighbourFinder finder(items, active, use_index);
+    std::vector<TiltedNnIndex::Entry> entries;
+    entries.reserve(active.size());
+    for (int idx : active) {
+      entries.push_back(TiltedNnIndex::Entry{
+          items[static_cast<std::size_t>(idx)].region, idx});
+    }
+    const TiltedNnIndex index(std::move(entries));
 
     // Collect (distance, a, b) candidate pairs from each item's NN.
     struct Pair {
@@ -175,7 +130,8 @@ ClockTree build_zst(const Benchmark& bench, const DmeOptions& options) {
     std::vector<Pair> pairs;
     pairs.reserve(active.size());
     for (int idx : active) {
-      const int nn = finder.nearest(idx);
+      const int nn = index.nearest(items[static_cast<std::size_t>(idx)].region,
+                                   [idx](int cand) { return cand != idx; });
       if (nn >= 0) {
         pairs.push_back(Pair{items[static_cast<std::size_t>(idx)].region.distance(
                                  items[static_cast<std::size_t>(nn)].region),

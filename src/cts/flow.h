@@ -49,15 +49,6 @@ struct FlowOptions {
   /// Producers: the service daemon's cancel endpoint (src/service/) and the
   /// SIGINT/SIGTERM bridge of the bench binaries (util/signal.h).
   CancelToken cancel;
-
-  /// Evaluate IVC candidates through the incremental engine (persistent
-  /// RcNetlist + cached Elmore/transient state re-propagated along dirty
-  /// paths; analysis/evaluate.h) instead of re-extracting and re-simulating
-  /// the whole tree per candidate.  Results are bit-identical either way —
-  /// this switch exists for verification and benchmarking (suite drivers
-  /// bind it to the CONTANGO_INCREMENTAL env knob; 0 forces full
-  /// evaluation).
-  bool incremental = true;
 };
 
 /// Metrics recorded after each optimization stage (paper Table III rows).

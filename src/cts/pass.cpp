@@ -29,11 +29,9 @@ FlowContext::FlowContext(const Benchmark& bench_in, const FlowOptions& options_i
       unit_(best_unit_composite(bench_in.tech)),
       unit_slew_cap_(
           slew_free_cap(bench_in.tech, unit_, options_in.insertion.slew_margin)),
-      incremental_(eval),
-      use_incremental_(options_in.incremental) {}
+      incremental_(eval) {}
 
 EvalResult FlowContext::evaluate_tree() {
-  if (!use_incremental_) return eval.evaluate(tree);
   // `tree` is a member object, so its address is stable across the moves
   // the construction passes and try_accept perform on its *contents*;
   // wholesale content replacements invalidate through note_tree_mutated()/
@@ -43,7 +41,6 @@ EvalResult FlowContext::evaluate_tree() {
 }
 
 TreeEditSession FlowContext::edit_session() {
-  if (!use_incremental_) return TreeEditSession(tree);
   if (incremental_.bound_tree() != &tree) incremental_.bind(tree);
   return TreeEditSession(tree, &incremental_.netlist());
 }

@@ -42,8 +42,7 @@ namespace contango {
 ///   * whole-tree copies (the legacy path) — structural rewrites like
 ///     trunk sliding still copy the tree; accepting one rebinds the
 ///     incremental engine.
-/// Both paths produce bit-identical evaluations; FlowOptions::incremental
-/// (CONTANGO_INCREMENTAL) forces the full evaluator for verification.
+/// Both paths evaluate through the same incremental engine.
 
 /// What an optimization pass tries to improve; the IVC gate compares
 /// candidates against the incumbent on this axis.  kNone marks construction
@@ -137,15 +136,15 @@ class FlowContext {
   /// \brief The same gate over an edit-delta candidate.
   ///
   /// `session` has already applied its edits to `tree` (and marked the
-  /// touched stages dirty).  Evaluates the edited tree — incrementally
-  /// when enabled, re-propagating only along dirty paths — and either
+  /// touched stages dirty).  Evaluates the edited tree incrementally,
+  /// re-propagating only along dirty paths, and either
   /// commits the session (accept) or rolls its journal back (reject),
   /// leaving the incumbent bit-identical to before the session.
   /// \pre objective is kSkew or kClr, has_current(), session.can_rollback()
   bool try_accept(TreeEditSession& session, PassObjective objective);
 
-  /// Begins an edit session on `tree`, wired to the incremental engine
-  /// when enabled.  \pre has_current() (the engine binds at ensure_initial)
+  /// Begins an edit session on `tree`, wired to the incremental engine.
+  /// \pre has_current() (the engine binds at ensure_initial)
   TreeEditSession edit_session();
 
   /// Restores a previously read current() evaluation — the Pipeline's
@@ -176,9 +175,8 @@ class FlowContext {
                                       double)>& round_fn);
 
  private:
-  /// Evaluates `tree` through the configured engine (one simulation run):
-  /// the incremental evaluator when enabled (bound on first use), the full
-  /// evaluator otherwise.  Bit-identical either way.
+  /// Evaluates `tree` through the incremental evaluator (one simulation
+  /// run), binding it on first use.
   EvalResult evaluate_tree();
 
   EvalResult current_;
@@ -188,7 +186,6 @@ class FlowContext {
   Ff unit_slew_cap_ = 0.0;
   std::map<std::string, int> stage_name_counts_;
   IncrementalEvaluator incremental_;
-  bool use_incremental_ = true;
 };
 
 /// \brief One composable stage of the flow.

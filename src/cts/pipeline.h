@@ -85,9 +85,8 @@ bool pipeline_spec_contains(const std::string& spec, const std::string& pass);
 /// \brief `spec` re-serialized with every pass named `pass` removed.
 ///
 /// Parameter overrides of the remaining passes are preserved and
-/// whitespace is normalized — the single-pass-removed ablation sweeps
-/// (bench_table3_ablation, example_ablation_study) build their variants
-/// with this.
+/// whitespace is normalized — the single-pass-removed ablation sweep
+/// (bench_table3_ablation) builds its variants with this.
 /// \throws PipelineError when the spec is malformed, or when removing the
 ///         pass would leave the pipeline empty
 std::string pipeline_spec_without(const std::string& spec,

@@ -364,7 +364,6 @@ std::vector<std::string> unknown_contango_env_vars() {
       "CONTANGO_ABLATION_BENCHMARK",
       "CONTANGO_DOMAINS",
       "CONTANGO_FIG3_BENCHMARK",
-      "CONTANGO_INCREMENTAL",
       "CONTANGO_JSON_OUT",
       "CONTANGO_LOG",
       "CONTANGO_MAX_SINKS",
@@ -374,12 +373,10 @@ std::vector<std::string> unknown_contango_env_vars() {
       "CONTANGO_MC_SIGMA_WIRE",
       "CONTANGO_MC_SKEW_TARGET",
       "CONTANGO_MC_TRIALS",
-      "CONTANGO_MMAP",
       "CONTANGO_PIPELINE",
       "CONTANGO_SCENARIO",
       "CONTANGO_SEED",
       "CONTANGO_SOCKET",
-      "CONTANGO_SPATIAL",
       "CONTANGO_TABLE3_BENCHMARKS",
       "CONTANGO_TABLE4_BENCHMARKS",
       "CONTANGO_THREADS",
@@ -415,14 +412,6 @@ SuiteOptions suite_options_from_env(SuiteOptions base) {
     throw std::runtime_error("CONTANGO_THREADS=" + std::to_string(base.threads) +
                              " must be >= 0 (0 = hardware concurrency)");
   }
-  base.flow.incremental =
-      env_long_strict("CONTANGO_INCREMENTAL", base.flow.incremental ? 1 : 0) != 0;
-  // CONTANGO_SPATIAL is consumed inside geom/spatial.h (query structures
-  // sample it at construction); the strict read here only rejects malformed
-  // values up front, like every other knob.
-  env_long_strict("CONTANGO_SPATIAL", 1);
-  // Same story for CONTANGO_MMAP, consumed in io/mmap.h at file open.
-  env_long_strict("CONTANGO_MMAP", 1);
   // CONTANGO_DOMAINS / CONTANGO_WINDOW_FRACTION parameterize the
   // multidomain / usefulskew scenario factories (cts/scenario.cpp), which
   // read and range-check them at generation; the strict reads here reject

@@ -99,8 +99,7 @@ struct SuiteRun {
 
   /// Obstacle-density statistics of the benchmark floorplan (filled for
   /// every run, even failed ones).  The union area comes from the Klee
-  /// sweep in geom/spatial.h and is spatial-mode-independent, so
-  /// CONTANGO_SPATIAL=0/1 suite reports stay byte-identical.
+  /// sweep in geom/spatial.h.
   int num_obstacle_rects = 0;
   int num_obstacle_compounds = 0;
   double obstacle_union_area_um2 = 0.0;  ///< area of the union of all rects
@@ -205,19 +204,6 @@ SuiteReport run_suite_spec(const std::string& spec, std::uint64_t seed,
 ///
 ///   CONTANGO_THREADS         -> threads
 ///   CONTANGO_PIPELINE        -> pipeline_spec (cts/pipeline.h syntax)
-///   CONTANGO_INCREMENTAL     -> flow.incremental (0 forces full
-///                               evaluation per candidate; default 1)
-///   CONTANGO_SPATIAL         -> geometry engine (0 forces the reference
-///                               linear scans instead of the spatial
-///                               indices; default 1, results are
-///                               bit-identical either way; read by
-///                               geom/spatial.h at query-structure
-///                               construction, validated here)
-///   CONTANGO_MMAP            -> `.cbench` load backend (0 forces the
-///                               buffered-read fallback instead of mmap;
-///                               default 1, results are bit-identical
-///                               either way; read by io/mmap.h at file
-///                               open, validated here)
 ///   CONTANGO_DOMAINS         -> domain count of the `multidomain`
 ///                               scenario family (0 = seed-derived 2-4;
 ///                               consumed in cts/scenario.cpp, validated

@@ -36,45 +36,25 @@ int direction_index(const Point& from, const Point& to) {
 
 }  // namespace
 
-ObstacleSet::ObstacleSet(std::vector<Rect> rects, SpatialMode mode)
-    : rects_(std::move(rects)) {
+ObstacleSet::ObstacleSet(std::vector<Rect> rects) : rects_(std::move(rects)) {
   for (const Rect& r : rects_) {
     if (!r.valid()) throw std::invalid_argument("ObstacleSet: invalid rect");
   }
-  use_index_ = resolve_spatial_mode(mode) == SpatialMode::kForceIndex;
-  if (use_index_) index_ = RectIntervalIndex(rects_);
+  index_ = RectIntervalIndex(rects_);
   union_area_ = klee_union_area(rects_);
   build_groups();
   build_contours();
 }
 
-template <typename Fn>
-bool ObstacleSet::for_candidates(const Rect& query, Fn&& fn) const {
-  if (use_index_) return index_.visit(query, fn);
-  // Reference path: plain linear scan over every rectangle, ascending.
-  // Rectangles not intersecting `query` contribute nothing to any caller
-  // (each caller's predicate implies closed intersection), so both paths
-  // produce bit-identical results.
-  for (std::size_t i = 0; i < rects_.size(); ++i) {
-    if (fn(i)) return true;
-  }
-  return false;
-}
-
 std::vector<std::size_t> ObstacleSet::rects_intersecting(
     const Rect& window) const {
-  if (use_index_) return index_.intersecting(window);
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < rects_.size(); ++i) {
-    if (rects_[i].intersects(window)) out.push_back(i);
-  }
-  return out;
+  return index_.intersecting(window);
 }
 
 void ObstacleSet::build_groups() {
   UnionFind uf(rects_.size());
   for (std::size_t i = 0; i < rects_.size(); ++i) {
-    for_candidates(rects_[i], [&](std::size_t j) {
+    index_.visit(rects_[i], [&](std::size_t j) {
       if (j > i &&
           (rects_[i].overlaps_interior(rects_[j]) || rects_[i].abuts(rects_[j]))) {
         uf.unite(i, j);
@@ -109,19 +89,19 @@ void ObstacleSet::build_contours() {
 
 bool ObstacleSet::blocks_point(const Point& p) const {
   const Rect probe{p.x, p.y, p.x, p.y};
-  return for_candidates(
+  return index_.visit(
       probe, [&](std::size_t i) { return rects_[i].contains_strict(p); });
 }
 
 bool ObstacleSet::blocks_segment(const HVSegment& seg) const {
-  return for_candidates(seg.bounds(), [&](std::size_t i) {
+  return index_.visit(seg.bounds(), [&](std::size_t i) {
     return seg.crosses_interior(rects_[i]);
   });
 }
 
 std::vector<std::size_t> ObstacleSet::crossed_compounds(const HVSegment& seg) const {
   std::vector<std::size_t> out;
-  for_candidates(seg.bounds(), [&](std::size_t i) {
+  index_.visit(seg.bounds(), [&](std::size_t i) {
     if (seg.crosses_interior(rects_[i])) out.push_back(rect_to_compound_[i]);
     return false;
   });
@@ -139,10 +119,9 @@ bool ObstacleSet::blocks_polyline(const std::vector<Point>& pts) const {
 
 Um ObstacleSet::blocked_length(const HVSegment& seg) const {
   Um total = 0.0;
-  // Terms accumulate in ascending rect-index order on both paths, and
-  // non-intersecting rects add exactly 0.0, so the sum is bit-identical
-  // between the index and the scan.
-  for_candidates(seg.bounds(), [&](std::size_t i) {
+  // Terms accumulate in ascending rect-index order, and non-intersecting
+  // rects would add exactly 0.0, so the sum equals a full scan's.
+  index_.visit(seg.bounds(), [&](std::size_t i) {
     const Rect& r = rects_[i];
     const Rect clip = seg.bounds().intersection(r);
     if (!clip.valid()) return false;
@@ -167,10 +146,10 @@ Um ObstacleSet::blocked_length(const std::vector<Point>& pts) const {
 std::size_t ObstacleSet::compound_containing(const Point& p) const {
   const Rect probe{p.x, p.y, p.x, p.y};
   std::size_t found = npos;
-  for_candidates(probe, [&](std::size_t i) {
+  index_.visit(probe, [&](std::size_t i) {
     if (rects_[i].contains_strict(p)) {
       found = rect_to_compound_[i];
-      return true;  // first (lowest-index) containing rect wins on both paths
+      return true;  // first (lowest-index) containing rect wins
     }
     return false;
   });

@@ -4,17 +4,7 @@
 #include <cmath>
 #include <functional>
 
-#include "util/env.h"
-
 namespace contango {
-
-bool spatial_index_enabled() { return env_long("CONTANGO_SPATIAL", 1) != 0; }
-
-SpatialMode resolve_spatial_mode(SpatialMode mode) {
-  if (mode != SpatialMode::kAuto) return mode;
-  return spatial_index_enabled() ? SpatialMode::kForceIndex
-                                 : SpatialMode::kForceScan;
-}
 
 // ---------------------------------------------------------------------------
 // RectIntervalIndex

@@ -32,26 +32,9 @@ namespace contango {
 /// Every index is *bit-identical* to the linear scan it replaces: distances
 /// are computed by the same expressions, candidate sets are enumerated in
 /// ascending index order, and nearest-neighbour ties break toward the
-/// smallest id — exactly the argmin a first-wins linear scan produces.  The
-/// CONTANGO_SPATIAL=0 env knob forces every caller back onto the scan path
-/// (same contract as CONTANGO_INCREMENTAL), and
-/// tests/test_spatial.cpp fuzzes index-vs-scan equality directly.
-
-/// How a geometry structure decides between the spatial index and the
-/// reference linear scan.
-enum class SpatialMode {
-  kAuto,        ///< follow the CONTANGO_SPATIAL env knob (default: index on)
-  kForceScan,   ///< always linear-scan (the reference path)
-  kForceIndex,  ///< always use the index (differential tests force this)
-};
-
-/// True when the spatial-index layer is enabled: CONTANGO_SPATIAL unset or
-/// non-zero.  Read per call so tests can flip the knob inside one process;
-/// structures built under SpatialMode::kAuto sample it at construction.
-bool spatial_index_enabled();
-
-/// Resolves kAuto against the env knob; returns the mode otherwise.
-SpatialMode resolve_spatial_mode(SpatialMode mode);
+/// smallest id — exactly the argmin a first-wins linear scan produces.
+/// tests/test_spatial.cpp fuzzes each index against a plain scan, and the
+/// obstacle queries against tests/reference_geometry.h.
 
 /// Static interval tree over rectangle x-extents.  Built once over an
 /// immutable rectangle set; intersecting() reports the indices of all

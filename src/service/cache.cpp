@@ -63,9 +63,8 @@ Hash128 job_content_hash(const std::vector<Benchmark>& benchmarks,
   if (!options.pipeline_spec.empty()) flow.pipeline = options.pipeline_spec;
   h.update_field(resolved_pipeline_spec(flow));
 
-  // Result-affecting flow numerics.  threads / incremental / spatial are
-  // deliberately absent: those execution modes are bit-identical by
-  // construction.
+  // Result-affecting flow numerics.  threads is deliberately absent: the
+  // worker count is bit-identical by construction.
   h.update_u64(static_cast<std::uint64_t>(flow.max_ladder));
   h.update_double(flow.power_reserve);
   h.update_u64(static_cast<std::uint64_t>(flow.max_sizing_rounds));

@@ -42,10 +42,9 @@ namespace contango {
 /// result-affecting FlowOptions numerics (ladder, reserve, round caps,
 /// snaking units...).
 ///
-/// Deliberately NOT covered: `threads`, `flow.incremental` and the spatial
-/// engine switch — those modes are bit-identical by construction (the
-/// suite runner's contract), so two submissions differing only there share
-/// one cache entry.
+/// Deliberately NOT covered: `threads` — the worker count is bit-identical
+/// by construction (the suite runner's contract), so two submissions
+/// differing only there share one cache entry.
 Hash128 job_content_hash(const std::vector<Benchmark>& benchmarks,
                          const SuiteOptions& options);
 

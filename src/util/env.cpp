@@ -7,22 +7,6 @@
 
 namespace contango {
 
-long env_long(const char* name, long fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  long parsed = std::strtol(value, &end, 10);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
-double env_double(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  double parsed = std::strtod(value, &end);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
 long env_long_strict(const char* name, long fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;

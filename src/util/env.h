@@ -4,22 +4,15 @@
 
 namespace contango {
 
-/// Reads an integer environment variable, returning fallback when the
-/// variable is unset or unparsable.  Benchmark drivers use these to scale
-/// experiments (e.g. CONTANGO_MAX_SINKS for the Table V sweep).
-long env_long(const char* name, long fallback);
-
-/// Reads a floating-point environment variable with a fallback.
-double env_double(const char* name, double fallback);
-
-/// \brief Strict variant of env_long: unset (or empty) still yields the
-/// fallback, but a *set yet malformed* value throws instead of being
+/// \brief Reads an integer environment variable.  Unset (or empty) yields
+/// the fallback, but a *set yet malformed* value throws instead of being
 /// silently coerced — `CONTANGO_THREADS=abc` is a configuration mistake the
-/// harness must surface, not paper over.
+/// harness must surface, not paper over.  Benchmark drivers use these to
+/// scale experiments (e.g. CONTANGO_MAX_SINKS for the Table V sweep).
 /// \throws std::runtime_error naming the variable and its offending value
 long env_long_strict(const char* name, long fallback);
 
-/// Strict variant of env_double; see env_long_strict.
+/// Floating-point counterpart of env_long_strict.
 /// \throws std::runtime_error naming the variable and its offending value
 double env_double_strict(const char* name, double fallback);
 

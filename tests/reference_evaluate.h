@@ -22,6 +22,7 @@
 #include "analysis/transient.h"
 #include "analysis/variation.h"
 #include "rctree/extract.h"
+#include "stage_sim.h"
 
 namespace contango {
 namespace reference {
@@ -116,7 +117,7 @@ inline EvalResult evaluate_netlist(const StagedNetlist& net, const Benchmark& be
             stage_driver_view(stage, bench.tech, vdd_stage, out_dir);
 
         const std::vector<TapTiming> taps =
-            sim.simulate_stage(stage, drv.r_drv, drv.intrinsic, ev.slew);
+            simulate_stage(sim, stage, drv.r_drv, drv.intrinsic, ev.slew);
 
         fan_out_taps(stage, ev, out_dir, taps.data(), corner, t,
                      [&](int child, const StageEvent& e) {

@@ -8,6 +8,7 @@
 #include "analysis/twopole.h"
 #include "netlist/generators.h"
 #include "rctree/extract.h"
+#include "stage_sim.h"
 
 namespace contango {
 namespace {
@@ -57,7 +58,7 @@ TEST(Transient, MatchesAnalyticSinglePole) {
   opt.slew_to_delay = 0.0;
   opt.time_step_div = 400.0;  // fine steps for the accuracy check
   const TransientSimulator sim(opt);
-  const auto taps = sim.simulate_stage(s, r, 0.0, 0.0);
+  const auto taps = simulate_stage(sim, s, r, 0.0, 0.0);
   ASSERT_EQ(taps.size(), 1u);
   const double tau = r * c;
   EXPECT_NEAR(taps[0].delay, kLn2 * tau, 0.15);
@@ -67,8 +68,8 @@ TEST(Transient, MatchesAnalyticSinglePole) {
 TEST(Transient, IntrinsicDelayShiftsOutput) {
   const Stage s = lumped_rc(1e-6, 40.0);
   const TransientSimulator sim;
-  const auto base = sim.simulate_stage(s, 0.5, 0.0, 10.0);
-  const auto shifted = sim.simulate_stage(s, 0.5, 7.5, 10.0);
+  const auto base = simulate_stage(sim, s, 0.5, 0.0, 10.0);
+  const auto shifted = simulate_stage(sim, s, 0.5, 7.5, 10.0);
   EXPECT_NEAR(shifted[0].delay - base[0].delay, 7.5, 1e-6);
   EXPECT_NEAR(shifted[0].slew, base[0].slew, 1e-6);
 }
@@ -77,20 +78,20 @@ TEST(Transient, MonotoneInLoadAndDrive) {
   const TransientSimulator sim;
   const Stage light = lumped_rc(0.1, 20.0);
   const Stage heavy = lumped_rc(0.1, 60.0);
-  const auto d_light = sim.simulate_stage(light, 0.5, 0.0, 10.0);
-  const auto d_heavy = sim.simulate_stage(heavy, 0.5, 0.0, 10.0);
+  const auto d_light = simulate_stage(sim, light, 0.5, 0.0, 10.0);
+  const auto d_heavy = simulate_stage(sim, heavy, 0.5, 0.0, 10.0);
   EXPECT_LT(d_light[0].delay, d_heavy[0].delay);
   EXPECT_LT(d_light[0].slew, d_heavy[0].slew);
 
-  const auto strong = sim.simulate_stage(light, 0.2, 0.0, 10.0);
+  const auto strong = simulate_stage(sim, light, 0.2, 0.0, 10.0);
   EXPECT_LT(strong[0].delay, d_light[0].delay);
 }
 
 TEST(Transient, InputSlewIncreasesDelayAndSlew) {
   const TransientSimulator sim;
   const Stage s = lumped_rc(0.1, 30.0);
-  const auto fast_in = sim.simulate_stage(s, 0.5, 0.0, 5.0);
-  const auto slow_in = sim.simulate_stage(s, 0.5, 0.0, 60.0);
+  const auto fast_in = simulate_stage(sim, s, 0.5, 0.0, 5.0);
+  const auto slow_in = simulate_stage(sim, s, 0.5, 0.0, 60.0);
   EXPECT_LT(fast_in[0].delay, slow_in[0].delay);
   EXPECT_LT(fast_in[0].slew, slow_in[0].slew);
 }
@@ -110,7 +111,7 @@ TEST(Transient, ResistiveShieldingBeatsElmore) {
   s.taps.push_back(Tap{2, prev, true, 1});   // far tap
   const ElmoreStage e(s);
   const TransientSimulator sim;
-  const auto taps = sim.simulate_stage(s, 0.2, 0.0, 5.0);
+  const auto taps = simulate_stage(sim, s, 0.2, 0.0, 5.0);
   EXPECT_LT(taps[0].delay, e.delay(1, 0.2));
   EXPECT_LT(taps[0].delay, taps[1].delay);
 }

@@ -23,6 +23,7 @@
 #include "util/rng.h"
 
 #include "reference_evaluate.h"
+#include "stage_sim.h"
 
 namespace contango {
 namespace {
@@ -60,10 +61,7 @@ void expect_bit_identical(const EvalResult& a, const EvalResult& b,
 /// A realistic buffered tree: the construction half of the flow (no
 /// optimization passes, so no dependence on the engine under test).
 ClockTree construction_tree(const Benchmark& bench) {
-  FlowOptions options;
-  options.incremental = false;
-  FlowResult r =
-      Pipeline::from_spec("dme,repair,insert,polarity").run(bench, options);
+  FlowResult r = Pipeline::from_spec("dme,repair,insert,polarity").run(bench);
   return std::move(r.tree);
 }
 
@@ -168,8 +166,8 @@ TEST(Batch, KernelRowsMatchScalarCallsExactly) {
                              out.data(), scratch);
 
     for (std::size_t b = 0; b < drives.size(); ++b) {
-      const std::vector<TapTiming> scalar = sim.simulate_stage(
-          stage, drives[b].r_drv, drives[b].intrinsic, drives[b].input_slew);
+      const std::vector<TapTiming> scalar = simulate_stage(
+          sim, stage, drives[b].r_drv, drives[b].intrinsic, drives[b].input_slew);
       ASSERT_EQ(scalar.size(), stage.taps.size());
       for (std::size_t k = 0; k < scalar.size(); ++k) {
         EXPECT_EQ(out[b * stage.taps.size() + k].delay, scalar[k].delay);

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -29,18 +28,6 @@
 
 namespace contango {
 namespace {
-
-/// Scoped setenv/unsetenv so env tests cannot leak into other tests.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    setenv(name, value, 1);
-  }
-  ~ScopedEnv() { unsetenv(name_); }
-
- private:
-  const char* name_;
-};
 
 std::string canonical_text(const Benchmark& bench) {
   std::ostringstream out;
@@ -127,24 +114,14 @@ TEST(CbenchRoundTrip, TiLikeAndIspdLikeSurvive) {
   }
 }
 
-TEST(CbenchRoundTrip, FileRoundTripThroughBothBackends) {
+TEST(CbenchRoundTrip, FileRoundTripThroughMmap) {
   const std::string path = ::testing::TempDir() + "binio_roundtrip.cbench";
   const Benchmark original = make_scenario("obstacle_dense", 7, 120);
   write_cbench_file(original, path);
 
-  {
-    ScopedEnv mmap_on("CONTANGO_MMAP", "1");
-    const MappedBenchmark mapped = MappedBenchmark::open(path);
-    EXPECT_TRUE(mapped.mapped());
-    EXPECT_EQ(canonical_text(mapped.to_benchmark()), canonical_text(original));
-  }
-  {
-    ScopedEnv mmap_off("CONTANGO_MMAP", "0");
-    const MappedBenchmark buffered = MappedBenchmark::open(path);
-    EXPECT_FALSE(buffered.mapped());
-    EXPECT_EQ(canonical_text(buffered.to_benchmark()),
-              canonical_text(original));
-  }
+  const MappedBenchmark mapped = MappedBenchmark::open(path);
+  EXPECT_TRUE(mapped.mapped());
+  EXPECT_EQ(canonical_text(mapped.to_benchmark()), canonical_text(original));
   std::filesystem::remove(path);
 }
 

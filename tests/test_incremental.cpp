@@ -52,10 +52,7 @@ void expect_bit_identical(const EvalResult& a, const EvalResult& b,
 /// A realistic buffered tree: the construction half of the flow (no
 /// optimization passes, so no dependence on the engine under test).
 ClockTree construction_tree(const Benchmark& bench) {
-  FlowOptions options;
-  options.incremental = false;
-  FlowResult r =
-      Pipeline::from_spec("dme,repair,insert,polarity").run(bench, options);
+  FlowResult r = Pipeline::from_spec("dme,repair,insert,polarity").run(bench);
   return std::move(r.tree);
 }
 
@@ -281,36 +278,13 @@ TEST(Incremental, RandomizedEditFuzzOverFamilies) {
   }
 }
 
-TEST(Incremental, FlowIsBitIdenticalWithTheEngineOnOrOff) {
-  const Benchmark bench = make_scenario("mixed_cap", 5, 32);
-
-  FlowOptions on;
-  on.incremental = true;
-  FlowOptions off;
-  off.incremental = false;
-
-  const FlowResult a = run_contango(bench, on);
-  const FlowResult b = run_contango(bench, off);
-
-  // The engines must agree on every gating decision, so the whole flow —
-  // final metrics, per-stage snapshots, simulation budget — is identical.
-  expect_bit_identical(a.eval, b.eval, "final evaluation");
-  EXPECT_EQ(a.sim_runs, b.sim_runs);
-  ASSERT_EQ(a.stages.size(), b.stages.size());
-  for (std::size_t i = 0; i < a.stages.size(); ++i) {
-    EXPECT_EQ(a.stages[i].name, b.stages[i].name);
-    EXPECT_EQ(a.stages[i].skew, b.stages[i].skew);
-    EXPECT_EQ(a.stages[i].clr, b.stages[i].clr);
-    EXPECT_EQ(a.stages[i].cap, b.stages[i].cap);
-    EXPECT_EQ(a.stages[i].sim_runs, b.stages[i].sim_runs);
-  }
-
-  // Counter split: the incremental run actually used the engine, the
-  // forced-full run never did, and the totals reconcile in both.
-  EXPECT_GT(a.incremental_evals, 0);
-  EXPECT_EQ(a.sim_runs, a.full_evals + a.incremental_evals);
-  EXPECT_EQ(b.incremental_evals, 0);
-  EXPECT_EQ(b.sim_runs, b.full_evals);
+TEST(Incremental, FlowUsesTheEngineAndCountersReconcile) {
+  const FlowResult r = run_contango(make_scenario("mixed_cap", 5, 32));
+  // The refinement passes evaluate through the incremental engine, and
+  // every simulation run is counted as exactly one full or incremental
+  // evaluation.
+  EXPECT_GT(r.incremental_evals, 0);
+  EXPECT_EQ(r.sim_runs, r.full_evals + r.incremental_evals);
 }
 
 }  // namespace

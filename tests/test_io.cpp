@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
 
 #include "cts/dme.h"
 #include "io/svg.h"
@@ -138,13 +139,21 @@ TEST(Svg, SlackGradientSpansRedToGreen) {
 
 TEST(Env, ParsesAndFallsBack) {
   ::setenv("CONTANGO_TEST_LONG", "42", 1);
-  EXPECT_EQ(env_long("CONTANGO_TEST_LONG", 7), 42);
-  EXPECT_EQ(env_long("CONTANGO_TEST_UNSET_XYZ", 7), 7);
+  EXPECT_EQ(env_long_strict("CONTANGO_TEST_LONG", 7), 42);
+  EXPECT_EQ(env_long_strict("CONTANGO_TEST_UNSET_XYZ", 7), 7);
+  ::setenv("CONTANGO_TEST_LONG", "", 1);  // set but empty: the fallback
+  EXPECT_EQ(env_long_strict("CONTANGO_TEST_LONG", 7), 7);
   ::setenv("CONTANGO_TEST_LONG", "notanumber", 1);
-  EXPECT_EQ(env_long("CONTANGO_TEST_LONG", 7), 7);
+  EXPECT_THROW(env_long_strict("CONTANGO_TEST_LONG", 7), std::runtime_error);
+  ::setenv("CONTANGO_TEST_LONG", "20k", 1);  // trailing garbage
+  EXPECT_THROW(env_long_strict("CONTANGO_TEST_LONG", 7), std::runtime_error);
 
   ::setenv("CONTANGO_TEST_DOUBLE", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env_double("CONTANGO_TEST_DOUBLE", 1.0), 2.5);
+  EXPECT_DOUBLE_EQ(env_double_strict("CONTANGO_TEST_DOUBLE", 1.0), 2.5);
+  EXPECT_DOUBLE_EQ(env_double_strict("CONTANGO_TEST_UNSET_XYZ", 1.0), 1.0);
+  ::setenv("CONTANGO_TEST_DOUBLE", "2.5x", 1);
+  EXPECT_THROW(env_double_strict("CONTANGO_TEST_DOUBLE", 1.0),
+               std::runtime_error);
 
   ::setenv("CONTANGO_TEST_FLAG", "0", 1);
   EXPECT_FALSE(env_flag("CONTANGO_TEST_FLAG"));

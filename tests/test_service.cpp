@@ -91,11 +91,10 @@ TEST(JobContentHash, ExcludesBitIdenticalModesAndResolvesPipeline) {
   SuiteOptions a;
   const Hash128 base = job_content_hash(suite, a);
 
-  // threads / incremental are bit-identical execution modes: changing
-  // them must hit the same cache entry.
+  // threads is a bit-identical execution mode: changing it must hit the
+  // same cache entry.
   SuiteOptions b = a;
   b.threads = 7;
-  b.flow.incremental = false;
   EXPECT_EQ(job_content_hash(suite, b), base);
 
   // An explicit spec equal to the default resolves to the same key...

@@ -1,38 +1,27 @@
 // Differential test harness of the spatial-index geometry engine
-// (geom/spatial.h): every index answer must equal the reference linear-scan
+// (geom/spatial.h): every index answer must equal a plain linear-scan
 // answer *exactly* — same booleans, same indices in the same order, same
-// floating-point bits — because the CONTANGO_SPATIAL knob promises
-// bit-identical flow results either way.
+// floating-point bits.  The obstacle queries are checked against the scan
+// oracle in reference_geometry.h, the DME topology against a golden digest.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "cts/dme.h"
-#include "cts/flow.h"
 #include "cts/scenario.h"
 #include "geom/obstacle_set.h"
 #include "geom/spatial.h"
+#include "reference_geometry.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace contango {
 namespace {
-
-/// Scoped setenv/unsetenv so env tests cannot leak into other tests.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    setenv(name, value, 1);
-  }
-  ~ScopedEnv() { unsetenv(name_); }
-
- private:
-  const char* name_;
-};
 
 /// Random rectangle with integer corners in [0, coord_max]^2 so that
 /// boundary-touching, abutting and exactly-colinear configurations occur
@@ -238,7 +227,7 @@ TEST(SpatialDifferential, PointGridBulkBuildMatchesIncrementalInserts) {
 }
 
 // ---------------------------------------------------------------------------
-// ObstacleSet: every public query, force-index vs. force-scan.
+// ObstacleSet: every public query vs. the plain-scan oracle.
 // ---------------------------------------------------------------------------
 
 TEST(SpatialDifferential, ObstacleQueriesIndexEqualsScan) {
@@ -248,36 +237,34 @@ TEST(SpatialDifferential, ObstacleQueriesIndexEqualsScan) {
     const int n = static_cast<int>(rng.uniform_int(0, 24));
     std::vector<Rect> rects;
     for (int i = 0; i < n; ++i) rects.push_back(random_rect(rng, 20, 1));
-    const ObstacleSet scan(rects, SpatialMode::kForceScan);
-    const ObstacleSet indexed(rects, SpatialMode::kForceIndex);
-    EXPECT_FALSE(scan.uses_index());
-    EXPECT_TRUE(indexed.uses_index());
+    const reference::ScanObstacleSet scan(rects);
+    const ObstacleSet obs(rects);
 
-    // Construction-time grouping must be identical: same compounds, same
-    // member lists, same contours, same rect->compound map.
-    ASSERT_EQ(scan.compounds().size(), indexed.compounds().size());
-    for (std::size_t c = 0; c < scan.compounds().size(); ++c) {
-      EXPECT_EQ(scan.compounds()[c].rect_indices,
-                indexed.compounds()[c].rect_indices);
-      EXPECT_EQ(scan.compounds()[c].contour, indexed.compounds()[c].contour);
+    // Construction-time grouping: same compounds in the same order, same
+    // member lists, same rect->compound map, contours of those members.
+    ASSERT_EQ(obs.compounds().size(), scan.num_compounds());
+    for (std::size_t c = 0; c < scan.num_compounds(); ++c) {
+      EXPECT_EQ(obs.compounds()[c].rect_indices, scan.members(c));
+      std::vector<Rect> members;
+      for (std::size_t i : scan.members(c)) members.push_back(rects[i]);
+      EXPECT_EQ(obs.compounds()[c].contour, union_contour(members));
     }
     for (std::size_t i = 0; i < rects.size(); ++i) {
-      EXPECT_EQ(scan.compound_of(i), indexed.compound_of(i));
+      EXPECT_EQ(obs.compound_of(i), scan.compound_of(i));
     }
-    EXPECT_EQ(scan.union_area(), indexed.union_area());
 
     for (int q = 0; q < 8; ++q, ++cases) {  // point queries
       const Point p{random_coord(rng, rects, 20), random_coord(rng, rects, 20)};
-      EXPECT_EQ(scan.blocks_point(p), indexed.blocks_point(p));
-      EXPECT_EQ(scan.compound_containing(p), indexed.compound_containing(p));
+      EXPECT_EQ(obs.blocks_point(p), scan.blocks_point(p));
+      EXPECT_EQ(obs.compound_containing(p), scan.compound_containing(p));
     }
     for (int q = 0; q < 8; ++q, ++cases) {  // segment queries
       const HVSegment seg = random_segment(rng, rects, 20);
-      EXPECT_EQ(scan.blocks_segment(seg), indexed.blocks_segment(seg));
+      EXPECT_EQ(obs.blocks_segment(seg), scan.blocks_segment(seg));
       // Exact FP equality: non-intersecting rects contribute exactly 0.0.
-      EXPECT_EQ(scan.blocked_length(seg), indexed.blocked_length(seg));
-      const auto crossed = scan.crossed_compounds(seg);
-      EXPECT_EQ(crossed, indexed.crossed_compounds(seg));
+      EXPECT_EQ(obs.blocked_length(seg), scan.blocked_length(seg));
+      const auto crossed = obs.crossed_compounds(seg);
+      EXPECT_EQ(crossed, scan.crossed_compounds(seg));
       // Property: the compound list is sorted and duplicate-free.
       EXPECT_TRUE(std::is_sorted(crossed.begin(), crossed.end()));
       EXPECT_EQ(std::adjacent_find(crossed.begin(), crossed.end()),
@@ -292,15 +279,14 @@ TEST(SpatialDifferential, ObstacleQueriesIndexEqualsScan) {
         else next.y = random_coord(rng, rects, 20);
         pts.push_back(next);  // may include zero-length / colinear legs
       }
-      EXPECT_EQ(scan.blocks_polyline(pts), indexed.blocks_polyline(pts));
-      EXPECT_EQ(scan.blocked_length(pts), indexed.blocked_length(pts));
+      EXPECT_EQ(obs.blocks_polyline(pts), scan.blocks_polyline(pts));
+      EXPECT_EQ(obs.blocked_length(pts), scan.blocked_length(pts));
     }
     for (int q = 0; q < 4; ++q, ++cases) {  // window queries (maze router)
       const Rect window = Rect::around(
           Point{random_coord(rng, rects, 20), random_coord(rng, rects, 20)},
           Point{random_coord(rng, rects, 20), random_coord(rng, rects, 20)});
-      EXPECT_EQ(scan.rects_intersecting(window),
-                indexed.rects_intersecting(window));
+      EXPECT_EQ(obs.rects_intersecting(window), scan.rects_intersecting(window));
     }
   }
   EXPECT_GE(cases, 1000);
@@ -321,7 +307,7 @@ TEST(SpatialProperties, BlockedLengthBoundedOnDisjointSets) {
                              y0 + rng.uniform(1.0, 5.0)});
       }
     }
-    const ObstacleSet obs(rects, SpatialMode::kForceIndex);
+    const ObstacleSet obs(rects);
     for (int q = 0; q < 25; ++q) {
       const HVSegment seg = random_segment(rng, rects, 20);
       const Um blocked = obs.blocked_length(seg);
@@ -420,8 +406,7 @@ TEST(SpatialNn, TiltedKdTreeMatchesLinearScan) {
                             rng.uniform_int(0, n - 1))].region
               : TiltedRect::from_point(
                     Point{rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
-      // Reference: first-wins strict-improvement scan over ascending ids —
-      // the exact loop the CONTANGO_SPATIAL=0 DME pairing runs.
+      // Reference: first-wins strict-improvement scan over ascending ids.
       int best = -1;
       double best_d = 0.0;
       for (const auto& e : entries) {
@@ -534,7 +519,7 @@ TEST(ContourWalk, SweepMatchesRepeatedMinimumReference) {
     std::vector<Rect> rects;
     const int n = static_cast<int>(rng.uniform_int(1, 10));
     for (int i = 0; i < n; ++i) rects.push_back(random_rect(rng, 20, 1));
-    const ObstacleSet obs(rects, SpatialMode::kForceIndex);
+    const ObstacleSet obs(rects);
     for (const CompoundObstacle& compound : obs.compounds()) {
       ++compounds_seen;
       const Um total = contour_length(compound.contour);
@@ -559,114 +544,40 @@ TEST(ContourWalk, SweepMatchesRepeatedMinimumReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Flow-level bit-identity: CONTANGO_SPATIAL=0 and =1 must produce the same
-// clock tree and the same metrics on every registered scenario family.
+// DME topology golden.
 // ---------------------------------------------------------------------------
 
-void expect_same_tree(const ClockTree& a, const ClockTree& b) {
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.root(), b.root());
-  for (NodeId id = 0; id < static_cast<NodeId>(a.size()); ++id) {
-    const TreeNode& na = a.node(id);
-    const TreeNode& nb = b.node(id);
-    EXPECT_EQ(na.kind, nb.kind) << "node " << id;
-    EXPECT_EQ(na.pos, nb.pos) << "node " << id;
-    EXPECT_EQ(na.parent, nb.parent) << "node " << id;
-    EXPECT_EQ(na.children, nb.children) << "node " << id;
-    EXPECT_EQ(na.route, nb.route) << "node " << id;
-    EXPECT_EQ(na.wire_width, nb.wire_width) << "node " << id;
-    EXPECT_EQ(na.snake, nb.snake) << "node " << id;  // exact FP equality
-    EXPECT_EQ(na.sink_index, nb.sink_index) << "node " << id;
-    EXPECT_TRUE(na.buffer == nb.buffer) << "node " << id;
+/// Digest of every field of every node, in node order.
+std::string tree_digest(const ClockTree& tree) {
+  Hasher h;
+  h.update_u64(tree.size());
+  h.update_u64(static_cast<std::uint64_t>(tree.root()));
+  for (NodeId id = 0; id < static_cast<NodeId>(tree.size()); ++id) {
+    const TreeNode& n = tree.node(id);
+    h.update_u64(static_cast<std::uint64_t>(n.kind));
+    h.update_double(n.pos.x).update_double(n.pos.y);
+    h.update_u64(static_cast<std::uint64_t>(n.parent));
+    h.update_u64(n.children.size());
+    for (NodeId c : n.children) h.update_u64(static_cast<std::uint64_t>(c));
+    h.update_u64(n.route.size());
+    for (const Point& p : n.route) h.update_double(p.x).update_double(p.y);
+    h.update_u64(static_cast<std::uint64_t>(n.wire_width));
+    h.update_double(n.snake);
+    h.update_u64(static_cast<std::uint64_t>(n.sink_index));
+    h.update_u64(static_cast<std::uint64_t>(n.buffer.inverter_type));
+    h.update_u64(static_cast<std::uint64_t>(n.buffer.count));
   }
+  return h.digest().hex();
 }
 
-void expect_same_result(const FlowResult& a, const FlowResult& b,
-                        const std::string& family) {
-  SCOPED_TRACE(family);
-  expect_same_tree(a.tree, b.tree);
-  // Exact FP equality on every reported metric — the CONTANGO_SPATIAL
-  // contract is bit-identity, not tolerance.
-  EXPECT_EQ(a.eval.nominal_skew, b.eval.nominal_skew);
-  EXPECT_EQ(a.eval.clr, b.eval.clr);
-  EXPECT_EQ(a.eval.max_latency, b.eval.max_latency);
-  EXPECT_EQ(a.eval.worst_slew, b.eval.worst_slew);
-  EXPECT_EQ(a.eval.total_cap, b.eval.total_cap);
-  EXPECT_EQ(a.eval.legal(), b.eval.legal());
-  EXPECT_EQ(a.sim_runs, b.sim_runs);
-  EXPECT_EQ(a.full_evals, b.full_evals);
-  EXPECT_EQ(a.incremental_evals, b.incremental_evals);
-  EXPECT_TRUE(a.buffer == b.buffer);
-  ASSERT_EQ(a.stages.size(), b.stages.size());
-  for (std::size_t s = 0; s < a.stages.size(); ++s) {
-    EXPECT_EQ(a.stages[s].name, b.stages[s].name);
-    EXPECT_EQ(a.stages[s].skew, b.stages[s].skew);
-    EXPECT_EQ(a.stages[s].clr, b.stages[s].clr);
-    EXPECT_EQ(a.stages[s].max_latency, b.stages[s].max_latency);
-    EXPECT_EQ(a.stages[s].cap, b.stages[s].cap);
-    EXPECT_EQ(a.stages[s].sim_runs, b.stages[s].sim_runs);
-  }
-}
-
-TEST(SpatialFlow, BitIdenticalOnEveryRegisteredFamily) {
-  for (const std::string& family : ScenarioRegistry::builtin().names()) {
-    FlowResult with_scan, with_index;
-    {
-      // Fresh Benchmark inside each scope: Benchmark::obstacles() caches
-      // the ObstacleSet, which samples the knob at construction.
-      ScopedEnv off("CONTANGO_SPATIAL", "0");
-      const Benchmark bench = make_scenario(family, 11, 48);
-      with_scan = run_contango(bench);
-    }
-    {
-      ScopedEnv on("CONTANGO_SPATIAL", "1");
-      const Benchmark bench = make_scenario(family, 11, 48);
-      with_index = run_contango(bench);
-    }
-    expect_same_result(with_scan, with_index, family);
-  }
-}
-
-TEST(SpatialFlow, DmeTopologyIdenticalSpatialOnOff) {
+TEST(SpatialFlow, DmeTopologyGolden) {
   // The DME pairing is the subtlest consumer of the NN index: the kd-tree
-  // must reproduce the scan's nearest-neighbour graph *including tie-break
-  // order*, or the greedy matching (and the whole topology) diverges.
+  // must reproduce a scan's nearest-neighbour graph *including tie-break
+  // order*, or the greedy matching (and the whole topology) diverges.  The
+  // digest was recorded from the linear-scan-era library (the kd-tree and
+  // the scan agreed there bit for bit).
   const Benchmark bench = make_scenario("clustered", 3, 400);
-  ClockTree scan_tree, index_tree;
-  {
-    ScopedEnv off("CONTANGO_SPATIAL", "0");
-    scan_tree = build_zst(bench);
-  }
-  {
-    ScopedEnv on("CONTANGO_SPATIAL", "1");
-    index_tree = build_zst(bench);
-  }
-  expect_same_tree(scan_tree, index_tree);
-}
-
-// ---------------------------------------------------------------------------
-// Knob plumbing.
-// ---------------------------------------------------------------------------
-
-TEST(SpatialKnob, EnvControlsAutoModeAndForcedModesIgnoreIt) {
-  const std::vector<Rect> rects{Rect{0, 0, 5, 5}};
-  {
-    ScopedEnv off("CONTANGO_SPATIAL", "0");
-    EXPECT_FALSE(spatial_index_enabled());
-    EXPECT_EQ(resolve_spatial_mode(SpatialMode::kAuto), SpatialMode::kForceScan);
-    EXPECT_FALSE(ObstacleSet(rects, SpatialMode::kAuto).uses_index());
-    EXPECT_TRUE(ObstacleSet(rects, SpatialMode::kForceIndex).uses_index());
-  }
-  {
-    ScopedEnv on("CONTANGO_SPATIAL", "1");
-    EXPECT_TRUE(spatial_index_enabled());
-    EXPECT_EQ(resolve_spatial_mode(SpatialMode::kAuto), SpatialMode::kForceIndex);
-    EXPECT_TRUE(ObstacleSet(rects, SpatialMode::kAuto).uses_index());
-    EXPECT_FALSE(ObstacleSet(rects, SpatialMode::kForceScan).uses_index());
-  }
-  unsetenv("CONTANGO_SPATIAL");  // default: on
-  EXPECT_TRUE(spatial_index_enabled());
-  EXPECT_TRUE(ObstacleSet(rects).uses_index());
+  EXPECT_EQ(tree_digest(build_zst(bench)), "68dd112b330f4075693613bd6244fa2b");
 }
 
 }  // namespace

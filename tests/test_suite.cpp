@@ -310,8 +310,12 @@ TEST(SuiteEnv, UnknownContangoVariablesAreReportedNotFatal) {
   ScopedEnv typo("CONTANGO_THREAD", "4");  // the classic knob typo
   ScopedEnv reserved("CONTANGO_TEST_SCRATCH", "1");
   ScopedEnv known("CONTANGO_THREADS", "1");
+  // A knob that no longer exists is reported like any typo.
+  ScopedEnv retired("CONTANGO_SPATIAL", "0");
   const std::vector<std::string> unknown = unknown_contango_env_vars();
   EXPECT_NE(std::find(unknown.begin(), unknown.end(), "CONTANGO_THREAD"),
+            unknown.end());
+  EXPECT_NE(std::find(unknown.begin(), unknown.end(), "CONTANGO_SPATIAL"),
             unknown.end());
   // Real knobs and the CONTANGO_TEST_ namespace never warn about themselves.
   EXPECT_EQ(std::find(unknown.begin(), unknown.end(), "CONTANGO_THREADS"),

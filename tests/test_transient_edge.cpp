@@ -15,6 +15,7 @@
 #include "cts/dme.h"
 #include "netlist/generators.h"
 #include "rctree/extract.h"
+#include "stage_sim.h"
 
 namespace contango {
 namespace {
@@ -64,7 +65,8 @@ TEST(TransientEdge, ZeroLengthStageIsPureLoad) {
   stage.nodes.push_back(RcNode{25.0, -1, 0.0});
   stage.taps.push_back(Tap{kNoNode, 0, true, 0, 25.0});
   const TransientSimulator sim;
-  const std::vector<TapTiming> taps = sim.simulate_stage(stage, 1.0, 15.0, 10.0);
+  const std::vector<TapTiming> taps =
+      simulate_stage(sim, stage, 1.0, 15.0, 10.0);
   ASSERT_EQ(taps.size(), 1u);
   EXPECT_TRUE(std::isfinite(taps[0].delay));
   EXPECT_TRUE(std::isfinite(taps[0].slew));
@@ -76,7 +78,7 @@ TEST(TransientEdge, StageWithNoTapsReturnsEmpty) {
   Stage stage;
   stage.nodes.push_back(RcNode{5.0, -1, 0.0});
   const TransientSimulator sim;
-  EXPECT_TRUE(sim.simulate_stage(stage, 0.5, 0.0, 10.0).empty());
+  EXPECT_TRUE(simulate_stage(sim, stage, 0.5, 0.0, 10.0).empty());
 }
 
 TEST(TransientEdge, SingleSinkTreeHasZeroSkew) {

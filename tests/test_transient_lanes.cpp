@@ -1,8 +1,8 @@
 // The lane-interleaved transient kernel against an independent oracle, and
 // an absolute lock on the default flow's numbers.
 //
-// simulate_stage() and simulate_stage_batch() share one lane kernel, so
-// batch-vs-scalar identity alone cannot see a change in its arithmetic.
+// The one-drive helper (stage_sim.h) and simulate_stage_batch() share one
+// lane kernel, so batch-vs-single identity alone cannot see a change in its arithmetic.
 // Here every row of the kernel must equal, bit for bit, the historical
 // one-drive-at-a-time integrator kept verbatim in reference_transient.h —
 // across every lane-group shape, lanes finishing far apart, long dead
@@ -25,6 +25,7 @@
 #include "rctree/extract.h"
 #include "rctree/soa.h"
 #include "reference_transient.h"
+#include "stage_sim.h"
 #include "util/rng.h"
 
 namespace contango {
@@ -116,8 +117,8 @@ TEST(LaneKernel, MatchesReferenceIntegratorOnRandomStages) {
       // equals a lone (one-lane) run of the same drive.
       for (std::size_t b = 0; b < count; ++b) {
         const std::vector<TapTiming> lone =
-            sim.simulate_stage(net.stages[0], drives[b].r_drv,
-                               drives[b].intrinsic, drives[b].input_slew);
+            simulate_stage(sim, net.stages[0], drives[b].r_drv,
+                           drives[b].intrinsic, drives[b].input_slew);
         for (std::size_t k = 0; k < lone.size(); ++k) {
           EXPECT_EQ(own[b * lone.size() + k].delay, lone[k].delay);
           EXPECT_EQ(own[b * lone.size() + k].slew, lone[k].slew);
@@ -185,7 +186,7 @@ TEST(LaneKernel, MatchesReferenceOnDegenerateStages) {
       expect_matches_reference(sim, soa.view(0), drives, scratch, nullptr);
     }
   }
-  EXPECT_TRUE(sim.simulate_stage(tapless.stages[0], 0.3, 10.0, 20.0).empty());
+  EXPECT_TRUE(simulate_stage(sim, tapless.stages[0], 0.3, 10.0, 20.0).empty());
 }
 
 // ---------------------------------------------------------------- golden --
