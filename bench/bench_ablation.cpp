@@ -1,5 +1,5 @@
-// Ablation study over the construction choices DESIGN.md calls out (the
-// per-stage ablation is bench_table3_ablation):
+// Ablation study over two construction choices of the flow (the per-stage
+// ablation is bench_table3_ablation):
 //   * delay-contour balanced insertion instead of van Ginneken + stage
 //     equalization (why the flow rejects the contour inserter: its stage
 //     capacitances blow up in low-delay-gradient regions);
@@ -65,7 +65,7 @@ int main() {
   std::printf("%s\n", ins_table.to_string().c_str());
   std::printf("(the delay-contour inserter balances buffer counts but lets\n"
               " stage capacitance blow up where the delay gradient is low —\n"
-              " visible as a large worst slew; see DESIGN.md)\n\n");
+              " visible as a large worst slew)\n\n");
 
   // ---- DME balance-metric ablation. ----
   TextTable dme_table({"DME balance", "Wirelength, mm", "Path spread, um",

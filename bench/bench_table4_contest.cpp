@@ -1,18 +1,27 @@
 // Reproduces Table IV of the paper: final CLR, capacitance usage (% of the
 // benchmark limit) and runtime of Contango against weaker flows on the
 // seven-benchmark suite.  The ISPD'09 contest teams' binaries are not
-// available; a ladder of three baseline flows spans the same qualitative
-// range (see DESIGN.md): construction-only ("CONSTR"), one wiresizing pass
-// ("WSIZE"), and wiresizing + one snaking pass ("TUNED").
+// available; a ladder of three shorter pipelines (see docs/ARCHITECTURE.md)
+// spans the same qualitative range, each a spec (table4_rungs.h) run
+// through the same suite runner and IVC gate as the full flow:
+//
+//   CONSTR  dme,repair,insert:max_ladder=1,polarity   (construction only)
+//   WSIZE   CONSTR + twsz:rounds=1                     (one wiresizing round)
+//   TUNED   WSIZE + twsn:rounds=1                      (plus one snaking round)
+//
+// WSIZE adds nothing on any of cns01..cns07: on five entries the T_ws
+// calibration measures no slow-down, so the round proposes no edit, and on
+// cns05/cns07 the round worsens skew and the gate rejects it.  WSIZE's
+// columns therefore equal CONSTR's.
 //
 // Shape to match: Contango's average CLR is a multiple (the paper: 2.15x -
 // 3.99x) better than the baselines at comparable capacitance, and every
 // benchmark completes within the capacitance limit.
 //
-// All four flows are parallelized: the Contango column comes from one
-// suite-runner pass over the benchmarks, and the three baseline columns fan
-// out per benchmark on the same worker count (CONTANGO_THREADS, default:
-// hardware concurrency).  Row order matches the serial version exactly.
+// Every column is one run_suite() pass over the benchmarks on the same
+// worker count (CONTANGO_THREADS, default: hardware concurrency); only the
+// Contango pass runs the optional Monte-Carlo analysis and writes the JSON
+// report.
 //
 // The workload defaults to the seven generated cns01..cns07 entries
 // (CONTANGO_TABLE4_BENCHMARKS caps how many).  Set CONTANGO_WORKLOADS to a
@@ -26,30 +35,19 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <string>
 #include <vector>
 
-#include "cts/baseline.h"
 #include "cts/scenario.h"
 #include "cts/suite.h"
 #include "io/table.h"
 #include "netlist/generators.h"
 #include "util/env.h"
-#include "util/parallel.h"
 #include "util/signal.h"
 
+#include "table4_rungs.h"
+
 using namespace contango;
-
-namespace {
-
-struct BaselineRow {
-  BaselineResult tuned;
-  BaselineResult wsize;
-  BaselineResult constr;
-  bool ok = false;
-  std::string error;
-};
-
-}  // namespace
 
 int main() {
   std::printf("== Table IV: results on the CNS benchmark suite ==\n");
@@ -69,7 +67,6 @@ int main() {
     std::fprintf(stderr, "bad environment: %s\n", e.what());
     return 1;
   }
-  const int threads = options.threads;
 
   // ^C / SIGTERM stop the suite at the next safe boundary instead of
   // killing the process mid-write; the partial table and JSON report
@@ -93,9 +90,22 @@ int main() {
   }
   const int rows = static_cast<int>(suite.size());
 
+  // The baseline ladder in the table's column order, strongest first.  Each
+  // rung is the same suite pass with its own spec, no Monte-Carlo analysis
+  // and no JSON report.
+  const char* const rung_specs[] = {table4::kTunedSpec, table4::kWsizeSpec,
+                                    table4::kConstrSpec};
   SuiteReport contango;
+  std::vector<SuiteReport> rungs;
   try {
     contango = run_suite(suite, options);
+    for (const char* spec : rung_specs) {
+      SuiteOptions rung = options;
+      rung.pipeline_spec = spec;
+      rung.mc_trials = 0;
+      rung.json_report_path.clear();
+      rungs.push_back(run_suite(suite, rung));
+    }
   } catch (const std::exception& e) {  // e.g. CONTANGO_JSON_OUT unwritable
     std::fprintf(stderr, "bench_table4_contest: %s\n", e.what());
     return 1;
@@ -108,22 +118,6 @@ int main() {
     return 128 + signal_received();
   }
 
-  std::vector<BaselineRow> baselines(suite.size());
-  parallel_for(rows, threads, [&](int i) {
-    const Benchmark& bench = suite[static_cast<std::size_t>(i)];
-    BaselineRow& row = baselines[static_cast<std::size_t>(i)];
-    try {  // parallel_for workers must not leak exceptions
-      row.tuned = run_baseline_tuned(bench);
-      row.wsize = run_baseline_bst(bench);
-      row.constr = run_baseline_construction(bench);
-      row.ok = true;
-    } catch (const std::exception& e) {
-      row.error = e.what();
-    } catch (...) {
-      row.error = "unknown exception";
-    }
-  });
-
   TextTable table({"Benchmark", "CONTANGO CLR", "Cap%", "CPU", "TUNED CLR",
                    "Cap%", "WSIZE CLR", "Cap%", "CONSTR CLR", "Cap%"});
 
@@ -133,12 +127,18 @@ int main() {
   for (int i = 0; i < rows; ++i) {
     const Benchmark& bench = suite[static_cast<std::size_t>(i)];
     const SuiteRun& run = contango.runs[static_cast<std::size_t>(i)];
-    const BaselineRow& row = baselines[static_cast<std::size_t>(i)];
-    if (!run.ok || !row.ok) {
-      table.add_row({bench.name,
-                     "FAILED: " + (run.ok ? row.error : run.error)});
+    std::string error = run.ok ? "" : run.error;
+    for (const SuiteReport& r : rungs) {
+      const SuiteRun& rung = r.runs[static_cast<std::size_t>(i)];
+      if (error.empty() && !rung.ok) error = rung.error;
+    }
+    if (!error.empty()) {
+      table.add_row({bench.name, "FAILED: " + error});
       continue;
     }
+    const EvalResult& tuned = rungs[0].runs[static_cast<std::size_t>(i)].result.eval;
+    const EvalResult& wsize = rungs[1].runs[static_cast<std::size_t>(i)].result.eval;
+    const EvalResult& con = rungs[2].runs[static_cast<std::size_t>(i)].result.eval;
 
     auto cap_pct = [&](Ff cap) {
       return TextTable::num(100.0 * cap / bench.tech.cap_limit, 1);
@@ -147,13 +147,13 @@ int main() {
                    TextTable::num(run.result.eval.clr, 2),
                    cap_pct(run.result.eval.total_cap),
                    TextTable::num(run.seconds, 1),
-                   TextTable::num(row.tuned.eval.clr, 2), cap_pct(row.tuned.eval.total_cap),
-                   TextTable::num(row.wsize.eval.clr, 2), cap_pct(row.wsize.eval.total_cap),
-                   TextTable::num(row.constr.eval.clr, 2), cap_pct(row.constr.eval.total_cap)});
+                   TextTable::num(tuned.clr, 2), cap_pct(tuned.total_cap),
+                   TextTable::num(wsize.clr, 2), cap_pct(wsize.total_cap),
+                   TextTable::num(con.clr, 2), cap_pct(con.total_cap)});
     sum_contango += run.result.eval.clr;
-    sum_tuned += row.tuned.eval.clr;
-    sum_ws += row.wsize.eval.clr;
-    sum_con += row.constr.eval.clr;
+    sum_tuned += tuned.clr;
+    sum_ws += wsize.clr;
+    sum_con += con.clr;
     skew_sum += run.result.eval.nominal_skew;
     ++averaged_rows;
   }

@@ -88,18 +88,20 @@ std::string FlowContext::unique_stage_name(const std::string& base) {
   return base + "#" + std::to_string(count);
 }
 
-bool FlowContext::violation_ok(const EvalResult& candidate) const {
+bool FlowContext::violation_ok(const EvalResult& candidate,
+                               const EvalResult& incumbent) {
   const bool slew_ok = !candidate.slew_violation ||
-                       candidate.worst_slew <= current_.worst_slew + 1e-6;
+                       candidate.worst_slew <= incumbent.worst_slew + 1e-6;
   const bool cap_ok = !candidate.cap_violation ||
-                      candidate.total_cap <= current_.total_cap + 1e-6;
+                      candidate.total_cap <= incumbent.total_cap + 1e-6;
   // Generalized violation vector: under a non-trivial constraint block a
   // candidate must keep every sink window and inter-domain bound no worse
   // than the incumbent's.  Identically 0 <= 0 for trivial blocks, so the
   // legacy gate is unchanged.
   const bool constraints_ok =
       candidate.constraints_met() ||
-      candidate.constraint_violation() <= current_.constraint_violation() + 1e-6;
+      candidate.constraint_violation() <=
+          incumbent.constraint_violation() + 1e-6;
   return slew_ok && cap_ok && constraints_ok;
 }
 
@@ -108,7 +110,7 @@ bool FlowContext::try_accept(ClockTree&& candidate, PassObjective objective) {
   const bool improves = objective == PassObjective::kClr
                             ? r.clr < current_.clr
                             : r.nominal_skew < current_.nominal_skew;
-  if (improves && violation_ok(r)) {
+  if (improves && violation_ok(r, current_)) {
     tree = std::move(candidate);
     current_ = r;
     note_tree_mutated();  // wholesale replacement: rebuild, don't diff
@@ -122,7 +124,7 @@ bool FlowContext::try_accept(TreeEditSession& session, PassObjective objective) 
   const bool improves = objective == PassObjective::kClr
                             ? r.clr < current_.clr
                             : r.nominal_skew < current_.nominal_skew;
-  if (improves && violation_ok(r)) {
+  if (improves && violation_ok(r, current_)) {
     session.commit();
     current_ = r;
     return true;

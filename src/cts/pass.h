@@ -116,10 +116,12 @@ class FlowContext {
   /// pipeline repeats a pass.
   std::string unique_stage_name(const std::string& base);
 
-  /// Violation half of the IVC check: a candidate passes when it is clean,
-  /// or at least no worse than the incumbent on each violated axis (an
-  /// already-violating network must still be allowed to improve).
-  bool violation_ok(const EvalResult& candidate) const;
+  /// Violation half of the IVC check: `candidate` passes when it is clean,
+  /// or at least no worse than `incumbent` on each violated axis (an
+  /// already-violating network must still be allowed to improve).  Both
+  /// try_accept() overloads and the Pipeline's whole-pass rollback use it.
+  static bool violation_ok(const EvalResult& candidate,
+                           const EvalResult& incumbent);
 
   /// \brief The central Improvement- & Violation-Checking gate
   /// (whole-tree-copy form).
@@ -146,11 +148,6 @@ class FlowContext {
   /// Begins an edit session on `tree`, wired to the incremental engine.
   /// \pre has_current() (the engine binds at ensure_initial)
   TreeEditSession edit_session();
-
-  /// Restores a previously read current() evaluation — the Pipeline's
-  /// whole-pass rollback uses this together with a saved tree copy.  No
-  /// simulation runs.
-  void restore_current(const EvalResult& saved) { current_ = saved; }
 
   /// Whole-pass rollback: restores a saved tree + evaluation and
   /// invalidates the incremental engine (the tree changed wholesale).

@@ -221,20 +221,16 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
       // already gated through FlowContext::try_accept and can only improve,
       // so this never fires for them — but a pass that bypasses the gate
       // and leaves the flow worse than it found it is rolled back here,
-      // uniformly, instead of trusting every pass to guard itself.
+      // uniformly, by the same violation check the gate applies.
       ClockTree saved_tree = ctx.tree;
       const EvalResult saved_eval = ctx.current();
       pass->run(ctx);
+      const EvalResult& after = ctx.current();
       const bool regressed =
           pass->objective() == PassObjective::kClr
-              ? ctx.current().clr > saved_eval.clr
-              : ctx.current().nominal_skew > saved_eval.nominal_skew;
-      const bool violates =
-          (ctx.current().slew_violation &&
-           ctx.current().worst_slew > saved_eval.worst_slew + 1e-6) ||
-          (ctx.current().cap_violation &&
-           ctx.current().total_cap > saved_eval.total_cap + 1e-6);
-      if (regressed || violates) {
+              ? after.clr > saved_eval.clr
+              : after.nominal_skew > saved_eval.nominal_skew;
+      if (regressed || !FlowContext::violation_ok(after, saved_eval)) {
         Log::info("contango[%s] %s: rolled back (objective regressed)",
                   bench.name.c_str(), stage_name.c_str());
         ctx.restore_saved(std::move(saved_tree), saved_eval);

@@ -23,22 +23,6 @@ RectIntervalIndex::RectIntervalIndex(const std::vector<Rect>& rects) {
   construct();
 }
 
-RectIntervalIndex::RectIntervalIndex(const double* records, std::size_t count,
-                                     std::size_t stride_doubles) {
-  xlo_.reserve(count);
-  xhi_.reserve(count);
-  ylo_.reserve(count);
-  yhi_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const double* r = records + i * stride_doubles;
-    xlo_.push_back(r[0]);
-    ylo_.push_back(r[1]);
-    xhi_.push_back(r[2]);
-    yhi_.push_back(r[3]);
-  }
-  construct();
-}
-
 void RectIntervalIndex::construct() {
   const std::size_t n = xlo_.size();
   if (n == 0) return;
@@ -296,58 +280,6 @@ int TiltedNnIndex::build(std::size_t begin, std::size_t end) {
   nodes_[static_cast<std::size_t>(id)].left = l;
   nodes_[static_cast<std::size_t>(id)].right = r;
   return id;
-}
-
-// ---------------------------------------------------------------------------
-// PointNnGrid
-
-PointNnGrid::PointNnGrid(const Rect& bounds, std::size_t expected)
-    : bounds_(bounds) {
-  n_ = std::clamp(
-      static_cast<int>(std::ceil(std::sqrt(static_cast<double>(expected)))), 1,
-      1024);
-  cell_w_ = std::max(bounds_.width() / n_, 1e-9);
-  cell_h_ = std::max(bounds_.height() / n_, 1e-9);
-  cell_min_ = std::min(cell_w_, cell_h_);
-  cells_.assign(static_cast<std::size_t>(n_) * n_, {});
-}
-
-PointNnGrid::PointNnGrid(const Rect& bounds, const double* records,
-                         std::size_t count, std::size_t stride_doubles)
-    : PointNnGrid(bounds, count) {
-  items_.reserve(count);
-  std::vector<std::size_t> cell_of(count);
-  std::vector<std::size_t> per_cell(cells_.size(), 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    const double* r = records + i * stride_doubles;
-    const std::size_t cell =
-        static_cast<std::size_t>(cell_y(r[1])) * n_ + cell_x(r[0]);
-    cell_of[i] = cell;
-    ++per_cell[cell];
-  }
-  for (std::size_t c = 0; c < cells_.size(); ++c) {
-    cells_[c].reserve(per_cell[c]);
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    const double* r = records + i * stride_doubles;
-    items_.push_back(Item{Point{r[0], r[1]}, static_cast<int>(i)});
-    cells_[cell_of[i]].push_back(i);
-  }
-}
-
-int PointNnGrid::cell_x(double x) const {
-  return std::clamp(static_cast<int>((x - bounds_.xlo) / cell_w_), 0, n_ - 1);
-}
-
-int PointNnGrid::cell_y(double y) const {
-  return std::clamp(static_cast<int>((y - bounds_.ylo) / cell_h_), 0, n_ - 1);
-}
-
-void PointNnGrid::insert(const Point& p, int id) {
-  const std::size_t slot = items_.size();
-  items_.push_back(Item{p, id});
-  cells_[static_cast<std::size_t>(cell_y(p.y)) * n_ + cell_x(p.x)].push_back(
-      slot);
 }
 
 }  // namespace contango

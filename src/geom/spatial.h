@@ -15,7 +15,7 @@ namespace contango {
 /// \file spatial.h
 /// \brief Sub-quadratic spatial indices for the geometry hot paths.
 ///
-/// Three structures back the O(n log n) geometry engine:
+/// Two structures back the O(n log n) geometry engine:
 ///
 ///   - RectIntervalIndex: a static interval tree over rectangle x-extents
 ///     with an inline y filter.  Answers "which rectangles intersect this
@@ -26,8 +26,6 @@ namespace contango {
 ///   - TiltedNnIndex: a kd-tree over DME merge regions (tilted rectangles)
 ///     with subtree bounding boxes for exact nearest-neighbour pruning.
 ///     Replaces the flat region scan of the bottom-up merge pairing.
-///   - PointNnGrid: a dynamic grid-bucket nearest-neighbour structure over
-///     layout points for the greedy NN spanning tree of the baselines.
 ///
 /// Every index is *bit-identical* to the linear scan it replaces: distances
 /// are computed by the same expressions, candidate sets are enumerated in
@@ -45,14 +43,6 @@ class RectIntervalIndex {
  public:
   RectIntervalIndex() = default;
   explicit RectIntervalIndex(const std::vector<Rect>& rects);
-
-  /// Bulk construction straight from fixed-stride coordinate records —
-  /// the zero-copy form the mmap-backed `.cbench` loader hands out.  Each
-  /// record is `stride_doubles` doubles starting at
-  /// `records + i * stride_doubles`, with the first four being
-  /// xlo, ylo, xhi, yhi (Rect member order); `stride_doubles >= 4`.
-  RectIntervalIndex(const double* records, std::size_t count,
-                    std::size_t stride_doubles);
 
   bool empty() const { return xlo_.empty(); }
   std::size_t size() const { return xlo_.size(); }
@@ -170,82 +160,6 @@ class TiltedNnIndex {
   std::vector<Entry> entries_;
   std::vector<Node> nodes_;
   int root_ = -1;
-};
-
-/// Dynamic grid-bucket nearest-neighbour structure over layout points.
-/// Supports interleaved insert() and nearest() — the access pattern of the
-/// greedy NN spanning tree, where every attachment adds a new candidate.
-///
-/// nearest() minimizes (manhattan(stored point, query), id) over accepted
-/// entries, matching a first-wins linear scan over ascending ids exactly.
-class PointNnGrid {
- public:
-  /// `bounds` should cover every inserted point (outliers are clamped into
-  /// edge cells — correctness is unaffected, only locality); `expected`
-  /// sizes the grid (~sqrt(expected) cells per side).
-  PointNnGrid(const Rect& bounds, std::size_t expected);
-
-  /// Bulk construction from fixed-stride coordinate records — the
-  /// zero-copy form the mmap-backed `.cbench` loader hands out.  Each
-  /// record is `stride_doubles` doubles starting at
-  /// `records + i * stride_doubles`, the first two being x, y; record i
-  /// gets id `i`.  Two-pass counting layout: cells are counted, reserved
-  /// exactly, then filled — no per-insert reallocation.  The resulting
-  /// grid answers every nearest() query identically to `expected = count`
-  /// incremental insert()s of the same points in id order.
-  PointNnGrid(const Rect& bounds, const double* records, std::size_t count,
-              std::size_t stride_doubles);
-
-  void insert(const Point& p, int id);
-
-  /// Best accepted entry id for `p`, or -1 when no entry is accepted.
-  template <typename Accept>
-  int nearest(const Point& p, Accept&& accept) const {
-    const int ci = cell_x(p.x);
-    const int cj = cell_y(p.y);
-    int best = -1;
-    double best_d = 0.0;
-    const int max_ring = n_;  // rings beyond the grid add no new cells
-    for (int ring = 0; ring <= max_ring; ++ring) {
-      // Any point in a cell at Chebyshev cell-distance `ring` is at least
-      // (ring - 1) * min-cell-side away; once that bound strictly exceeds
-      // the best distance no further ring can improve it or tie it.
-      if (best >= 0 && (ring - 1) * cell_min_ > best_d) break;
-      for (int i = ci - ring; i <= ci + ring; ++i) {
-        if (i < 0 || i >= n_) continue;
-        for (int j = cj - ring; j <= cj + ring; ++j) {
-          if (j < 0 || j >= n_) continue;
-          if (std::max(std::abs(i - ci), std::abs(j - cj)) != ring) continue;
-          for (const std::size_t slot :
-               cells_[static_cast<std::size_t>(j) * n_ + i]) {
-            const Item& it = items_[slot];
-            if (!accept(it.id)) continue;
-            const double d = manhattan(it.pos, p);
-            if (best < 0 || d < best_d || (d == best_d && it.id < best)) {
-              best = it.id;
-              best_d = d;
-            }
-          }
-        }
-      }
-    }
-    return best;
-  }
-
- private:
-  struct Item {
-    Point pos;
-    int id = -1;
-  };
-
-  int cell_x(double x) const;
-  int cell_y(double y) const;
-
-  Rect bounds_;
-  int n_ = 1;
-  double cell_w_ = 1.0, cell_h_ = 1.0, cell_min_ = 1.0;
-  std::vector<Item> items_;
-  std::vector<std::vector<std::size_t>> cells_;
 };
 
 }  // namespace contango

@@ -893,19 +893,6 @@ Benchmark MappedBenchmark::to_benchmark() const {
   return bench;
 }
 
-RectIntervalIndex MappedBenchmark::obstacle_index() const {
-  const DoubleRecordsView v = obstacle_records();
-  return RectIntervalIndex(v.data, v.count, v.stride);
-}
-
-PointNnGrid MappedBenchmark::sink_grid() const {
-  const double* sc = scalars();
-  const Rect die{sc[kScalarDieXlo], sc[kScalarDieYlo], sc[kScalarDieXhi],
-                 sc[kScalarDieYhi]};
-  const DoubleRecordsView v = sink_records();
-  return PointNnGrid(die, v.data, v.count, v.stride);
-}
-
 Benchmark read_cbench_file(const std::string& path) {
   return MappedBenchmark::open(path).to_benchmark();
 }

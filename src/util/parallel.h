@@ -25,7 +25,7 @@ inline int hardware_threads() {
 }
 
 /// \brief Fixed-size thread pool for fanning independent jobs (whole
-/// Contango runs, baseline flows, batch evaluations) across cores.
+/// Contango runs, Monte-Carlo trial blocks) across cores.
 ///
 /// Submitted tasks must be independent: the pool gives no ordering
 /// guarantee between them, so any shared state they touch must be their

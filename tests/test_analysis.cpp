@@ -5,7 +5,6 @@
 #include "analysis/elmore.h"
 #include "analysis/evaluate.h"
 #include "analysis/transient.h"
-#include "analysis/twopole.h"
 #include "netlist/generators.h"
 #include "rctree/extract.h"
 #include "stage_sim.h"
@@ -114,35 +113,6 @@ TEST(Transient, ResistiveShieldingBeatsElmore) {
   const auto taps = simulate_stage(sim, s, 0.2, 0.0, 5.0);
   EXPECT_LT(taps[0].delay, e.delay(1, 0.2));
   EXPECT_LT(taps[0].delay, taps[1].delay);
-}
-
-TEST(TwoPole, MomentsOfLumpedRc) {
-  const Stage s = lumped_rc(1.0, 10.0);
-  const TwoPoleStage tp(s, 2.0);
-  // m1 = (R_drv + R) * C = 30; m2 = (R_drv + R) * C * m1 = 900.
-  EXPECT_DOUBLE_EQ(tp.m1(1), 30.0);
-  EXPECT_DOUBLE_EQ(tp.m2(1), 900.0);
-  // Single pole: D2M reduces to ln2 * m1 exactly.
-  EXPECT_NEAR(tp.delay(1), kLn2 * 30.0, 1e-9);
-}
-
-TEST(TwoPole, D2MStaysNearElmoreAndIncreasesDownstream) {
-  Stage s;
-  s.nodes.push_back(RcNode{0.0, -1, 0.0});
-  s.nodes.push_back(RcNode{10.0, 0, 0.5});
-  s.nodes.push_back(RcNode{20.0, 1, 0.5});
-  s.nodes.push_back(RcNode{5.0, 2, 0.5});
-  const TwoPoleStage tp(s, 0.3);
-  const ElmoreStage e(s);
-  // D2M refines scaled Elmore; on a short ladder it stays within a modest
-  // band of it and grows monotonically along the path.
-  EXPECT_GT(tp.delay(3), 0.5 * e.delay(3, 0.3));
-  EXPECT_LT(tp.delay(3), 1.5 * e.delay(3, 0.3));
-  EXPECT_LT(tp.delay(1), tp.delay(2));
-  EXPECT_LT(tp.delay(2), tp.delay(3));
-  // Moments are monotone along the path as well.
-  EXPECT_LT(tp.m1(1), tp.m1(3));
-  EXPECT_LT(tp.m2(1), tp.m2(3));
 }
 
 TEST(DriverModel, CornerAndAsymmetryScaling) {

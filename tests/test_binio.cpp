@@ -19,7 +19,6 @@
 
 #include "cts/flow.h"
 #include "cts/scenario.h"
-#include "geom/spatial.h"
 #include "io/mmap.h"
 #include "netlist/binio.h"
 #include "netlist/generators.h"
@@ -160,37 +159,6 @@ TEST(CbenchStreaming, MegaStreamedEqualsMaterializedBytes) {
   std::ostringstream materialized(std::ios::binary);
   write_cbench(generate_mega(params), materialized);
   EXPECT_EQ(streamed.str(), materialized.str());
-}
-
-TEST(CbenchViews, ZeroCopyIndexFeedsMatchMaterializedBuilds) {
-  const Benchmark original = make_scenario("obstacle_dense", 5, 150);
-  const MappedBenchmark mapped = MappedBenchmark::from_file(
-      MappedFile::from_bytes(cbench_bytes(original)), "<views.cbench>");
-
-  const RectIntervalIndex from_view = mapped.obstacle_index();
-  const RectIntervalIndex from_vector(original.obstacle_rects);
-  ASSERT_EQ(from_view.size(), original.obstacle_rects.size());
-  Rng rng(99);
-  for (int q = 0; q < 60; ++q) {
-    const double x = static_cast<double>(rng.uniform_int(0, 4000));
-    const double y = static_cast<double>(rng.uniform_int(0, 3000));
-    const Rect query{x, y, x + static_cast<double>(rng.uniform_int(0, 400)),
-                     y + static_cast<double>(rng.uniform_int(0, 400))};
-    EXPECT_EQ(from_view.intersecting(query), from_vector.intersecting(query));
-  }
-
-  const PointNnGrid grid = mapped.sink_grid();
-  PointNnGrid reference(original.die, original.sinks.size());
-  for (std::size_t i = 0; i < original.sinks.size(); ++i) {
-    reference.insert(original.sinks[i].position, static_cast<int>(i));
-  }
-  const auto accept_all = [](int) { return true; };
-  for (int q = 0; q < 60; ++q) {
-    const Point probe{static_cast<double>(rng.uniform_int(0, 4000)),
-                      static_cast<double>(rng.uniform_int(0, 3000))};
-    EXPECT_EQ(grid.nearest(probe, accept_all),
-              reference.nearest(probe, accept_all));
-  }
 }
 
 // ---------------------------------------------------------------------------

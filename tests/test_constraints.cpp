@@ -378,35 +378,31 @@ TEST(ConstraintMc, YieldCountsWindowViolatingTrialsAsFailures) {
 // ---------------------------------------------------------------------------
 
 TEST(IvcGate, RejectsSkewImprovementThatWorsensAWindowViolation) {
-  // violation_ok is the shared violation half of both try_accept overloads;
-  // exercise its constraint axis directly with synthetic evaluations.
-  const Benchmark bench = make_scenario("ring", 1, 16);
-  FlowContext ctx(bench, FlowOptions{});
-
+  // violation_ok is the shared violation half of both try_accept overloads
+  // and the Pipeline's whole-pass rollback; exercise its constraint axis
+  // directly with synthetic evaluations.
   EvalResult incumbent;  // clean: no violations, constraints met
   incumbent.nominal_skew = 10.0;
-  ctx.restore_current(incumbent);
 
   EvalResult candidate;
   candidate.nominal_skew = 2.0;           // much better global skew...
   candidate.worst_window_violation = 3.0;  // ...but violates a sink window
-  EXPECT_FALSE(ctx.violation_ok(candidate));
+  EXPECT_FALSE(FlowContext::violation_ok(candidate, incumbent));
 
   candidate.worst_window_violation = 0.0;
-  EXPECT_TRUE(ctx.violation_ok(candidate));
+  EXPECT_TRUE(FlowContext::violation_ok(candidate, incumbent));
 
   candidate.worst_domain_bound_violation = 1.5;
-  EXPECT_FALSE(ctx.violation_ok(candidate));
+  EXPECT_FALSE(FlowContext::violation_ok(candidate, incumbent));
 
   // An already-violating network must still be allowed to improve (and
   // must not get worse).
   incumbent.worst_window_violation = 5.0;
-  ctx.restore_current(incumbent);
   candidate = EvalResult{};
   candidate.worst_window_violation = 4.0;
-  EXPECT_TRUE(ctx.violation_ok(candidate));
+  EXPECT_TRUE(FlowContext::violation_ok(candidate, incumbent));
   candidate.worst_window_violation = 6.0;
-  EXPECT_FALSE(ctx.violation_ok(candidate));
+  EXPECT_FALSE(FlowContext::violation_ok(candidate, incumbent));
 }
 
 TEST(IvcGate, TryAcceptRejectsARealTreeThatBreaksItsWindows) {

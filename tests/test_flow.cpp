@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "cts/baseline.h"
+#include <string>
+
 #include "cts/flow.h"
 #include "netlist/generators.h"
+
+#include "../bench/table4_rungs.h"
 
 namespace contango {
 namespace {
@@ -102,19 +105,54 @@ TEST(Flow, BuffersOutsideObstacles) {
   EXPECT_EQ(blocked, 0);
 }
 
-TEST(Baselines, ContangoBeatsBothOnClr) {
-  const Benchmark bench = generate_ispd_like(ispd09_suite_params(3));
-  const FlowResult contango = run_contango(bench);
-  const BaselineResult greedy = run_baseline_greedy(bench);
-  const BaselineResult bst = run_baseline_bst(bench);
+// Table IV's baseline ladder is three pipeline specs, read from the header
+// bench_table4_contest runs, through the same IVC gate as the full flow.
+// The values below were printed at %.17g; CONSTR, WSIZE and cns04's TUNED
+// are bit-identical to the hand-written baseline flows the specs replaced.
+// cns01's construction is already over its cap limit, so the gate refuses
+// the snake that would add cap (the old flow's gate ignored cap and took
+// it) and TUNED keeps the construction's numbers.
+struct BaselineRung {
+  int suite_index;
+  const char* spec;
+  double clr;
+  double nominal_skew;
+  double total_cap;
+  int sim_runs;
+};
 
-  // Table IV shape: Contango's CLR is a multiple better than the baselines.
-  EXPECT_LT(contango.eval.clr, bst.eval.clr);
-  EXPECT_LT(contango.eval.clr, greedy.eval.clr);
-  EXPECT_LT(contango.eval.nominal_skew, bst.eval.nominal_skew);
-  // The balanced baseline beats the greedy one on skew (sanity of the
-  // baseline ladder itself).
-  EXPECT_LT(bst.eval.nominal_skew, greedy.eval.nominal_skew);
+TEST(Baselines, RungsMatchRecordedValuesAndContangoBeatsThem) {
+  const BaselineRung rungs[] = {
+      {3, table4::kConstrSpec, 118.73961304620354, 71.255732784585234,
+       62391.722194510789, 2},
+      {3, table4::kWsizeSpec, 118.73961304620354, 71.255732784585234,
+       62391.722194510789, 3},
+      {3, table4::kTunedSpec, 87.943346527647122, 38.101507328489902,
+       63609.722194510803, 5},
+      {0, table4::kTunedSpec, 225.80077669558955, 133.91044710828737,
+       128310.50543295476, 5},
+  };
+  const Benchmark cns04 = generate_ispd_like(ispd09_suite_params(3));
+  const EvalResult contango = run_contango(cns04).eval;
+  for (const BaselineRung& rung : rungs) {
+    SCOPED_TRACE(std::string("cns0") + std::to_string(rung.suite_index + 1) +
+                 " " + rung.spec);
+    const Benchmark bench =
+        generate_ispd_like(ispd09_suite_params(rung.suite_index));
+    FlowOptions options;
+    options.pipeline = rung.spec;
+    const FlowResult r = run_contango(bench, options);
+    EXPECT_EQ(r.eval.clr, rung.clr);
+    EXPECT_EQ(r.eval.nominal_skew, rung.nominal_skew);
+    EXPECT_EQ(r.eval.total_cap, rung.total_cap);
+    EXPECT_EQ(r.sim_runs, rung.sim_runs);
+    // Table IV shape: Contango beats every rung of the ladder on CLR and
+    // on nominal skew.
+    if (rung.suite_index == 3) {
+      EXPECT_LT(contango.clr, r.eval.clr);
+      EXPECT_LT(contango.nominal_skew, r.eval.nominal_skew);
+    }
+  }
 }
 
 }  // namespace

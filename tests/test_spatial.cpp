@@ -152,80 +152,6 @@ TEST(SpatialDifferential, StrBulkBuildHandlesAllIdenticalRects) {
   EXPECT_TRUE(bulk.intersecting(Rect{5, 5, 6, 6}).empty());
 }
 
-// The record-stride constructor (the zero-copy form the .cbench loader
-// feeds) must agree with the std::vector<Rect> constructor, including
-// with padding doubles between records.
-TEST(SpatialDifferential, IntervalIndexRecordViewMatchesVectorBuild) {
-  Rng rng(20260810);
-  std::vector<Rect> rects;
-  for (int i = 0; i < 25; ++i) rects.push_back(random_rect(rng, 15, 0));
-
-  for (const std::size_t stride : {std::size_t{4}, std::size_t{6}}) {
-    std::vector<double> flat(rects.size() * stride, -99.0);
-    for (std::size_t i = 0; i < rects.size(); ++i) {
-      flat[i * stride + 0] = rects[i].xlo;
-      flat[i * stride + 1] = rects[i].ylo;
-      flat[i * stride + 2] = rects[i].xhi;
-      flat[i * stride + 3] = rects[i].yhi;
-    }
-    const RectIntervalIndex from_records(flat.data(), rects.size(), stride);
-    const RectIntervalIndex from_vector(rects);
-    for (int q = 0; q < 40; ++q) {
-      const Rect query = Rect::around(
-          Point{random_coord(rng, rects, 15), random_coord(rng, rects, 15)},
-          Point{random_coord(rng, rects, 15), random_coord(rng, rects, 15)});
-      EXPECT_EQ(from_records.intersecting(query),
-                from_vector.intersecting(query));
-    }
-  }
-}
-
-// The PointNnGrid bulk constructor must answer exactly like the same
-// points insert()ed one by one (and both like a linear scan).
-TEST(SpatialDifferential, PointGridBulkBuildMatchesIncrementalInserts) {
-  Rng rng(20260811);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int n = static_cast<int>(rng.uniform_int(1, 200));
-    const std::size_t stride = rng.unit() < 0.5 ? 2 : 3;
-    std::vector<double> flat(static_cast<std::size_t>(n) * stride, -1.0);
-    std::vector<Point> points;
-    for (int i = 0; i < n; ++i) {
-      const Point p{static_cast<double>(rng.uniform_int(0, 100)),
-                    static_cast<double>(rng.uniform_int(0, 100))};
-      points.push_back(p);
-      flat[static_cast<std::size_t>(i) * stride + 0] = p.x;
-      flat[static_cast<std::size_t>(i) * stride + 1] = p.y;
-    }
-    const Rect bounds{0.0, 0.0, 100.0, 100.0};
-    const PointNnGrid bulk(bounds, flat.data(), static_cast<std::size_t>(n),
-                           stride);
-    PointNnGrid incremental(bounds, static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) incremental.insert(points[static_cast<std::size_t>(i)], i);
-
-    for (int q = 0; q < 50; ++q) {
-      const Point probe{static_cast<double>(rng.uniform_int(-5, 105)),
-                        static_cast<double>(rng.uniform_int(-5, 105))};
-      // Accept a pseudo-random subset so ties and filtering both exercise.
-      const int modulus = static_cast<int>(rng.uniform_int(1, 4));
-      const auto accept = [modulus](int id) { return id % modulus != 1; };
-      const int got_bulk = bulk.nearest(probe, accept);
-      const int got_incr = incremental.nearest(probe, accept);
-      int scan = -1;
-      double scan_d = 0.0;
-      for (int i = 0; i < n; ++i) {
-        if (!accept(i)) continue;
-        const double d = manhattan(points[static_cast<std::size_t>(i)], probe);
-        if (scan < 0 || d < scan_d) {
-          scan = i;
-          scan_d = d;
-        }
-      }
-      EXPECT_EQ(got_bulk, got_incr) << "trial " << trial << " query " << q;
-      EXPECT_EQ(got_bulk, scan) << "trial " << trial << " query " << q;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // ObstacleSet: every public query vs. the plain-scan oracle.
 // ---------------------------------------------------------------------------
@@ -370,7 +296,7 @@ TEST(SpatialProperties, KleeUnionAreaEdgeCases) {
 }
 
 // ---------------------------------------------------------------------------
-// Nearest-neighbour structures: exact (distance, id) argmin equality.
+// Nearest-neighbour structure: exact (distance, id) argmin equality.
 // ---------------------------------------------------------------------------
 
 TEST(SpatialNn, TiltedKdTreeMatchesLinearScan) {
@@ -419,46 +345,6 @@ TEST(SpatialNn, TiltedKdTreeMatchesLinearScan) {
       }
       EXPECT_EQ(index.nearest(query, accept), best)
           << "trial " << trial << " query " << q;
-    }
-  }
-}
-
-TEST(SpatialNn, PointGridMatchesLinearScanUnderInterleavedInserts) {
-  Rng rng(555);
-  for (int trial = 0; trial < 40; ++trial) {
-    const Rect bounds{0, 0, 100, 80};
-    PointNnGrid grid(bounds, 64);
-    std::vector<Point> points;
-    auto insert_one = [&] {
-      Point p{rng.uniform(-10.0, 110.0), rng.uniform(-10.0, 90.0)};  // outliers too
-      if (!points.empty() && rng.unit() < 0.2) {
-        p = points[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<long>(points.size()) - 1))];  // duplicate: ties
-      }
-      grid.insert(p, static_cast<int>(points.size()));
-      points.push_back(p);
-    };
-    insert_one();
-    // Interleave inserts and queries the way the greedy NN attachment does.
-    for (int step = 0; step < 60; ++step) {
-      if (rng.unit() < 0.4) insert_one();
-      std::vector<char> accepted(points.size(), 1);
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        accepted[i] = rng.unit() < 0.8 ? 1 : 0;
-      }
-      auto accept = [&](int id) { return accepted[static_cast<std::size_t>(id)] != 0; };
-      const Point p{rng.uniform(0.0, 100.0), rng.uniform(0.0, 80.0)};
-      int best = -1;
-      double best_d = 0.0;
-      for (std::size_t i = 0; i < points.size(); ++i) {  // first-wins scan
-        if (!accepted[i]) continue;
-        const double d = manhattan(points[i], p);
-        if (best < 0 || d < best_d) {
-          best = static_cast<int>(i);
-          best_d = d;
-        }
-      }
-      EXPECT_EQ(grid.nearest(p, accept), best) << "trial " << trial;
     }
   }
 }
