@@ -1,20 +1,17 @@
-// Ablation study over two construction choices of the flow (the per-stage
-// ablation is bench_table3_ablation):
-//   * delay-contour balanced insertion instead of van Ginneken + stage
-//     equalization (why the flow rejects the contour inserter: its stage
-//     capacitances blow up in low-delay-gradient regions);
-//   * Elmore-balance DME instead of pathlength-balance DME.
+// Ablation study over a construction choice of the flow (the per-stage
+// ablation is bench_table3_ablation): Elmore-balance DME instead of
+// pathlength-balance DME.
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 
 #include "analysis/evaluate.h"
-#include "cts/balanced_insertion.h"
 #include "cts/buflib.h"
 #include "cts/dme.h"
-#include "cts/flow.h"
 #include "cts/obstacles.h"
 #include "cts/rebalance.h"
+#include "cts/vanginneken.h"
 #include "io/table.h"
 #include "netlist/generators.h"
 #include "util/env.h"
@@ -30,42 +27,11 @@ int main() {
     return 1;
   }
   const Benchmark bench = generate_ispd_like(ispd09_suite_params(index));
-  std::printf("== Ablation studies on %s ==\n\n", bench.name.c_str());
+  std::printf("== DME-balance ablation on %s ==\n\n", bench.name.c_str());
 
-  // ---- Insertion-strategy ablation. ----
-  // Front-end (ZST + repair + rebalance) shared by both inserters.
-  ClockTree front = build_zst(bench);
   ObstacleRepairOptions repair;
   repair.slew_free_cap = slew_free_cap(bench.tech, CompositeBuffer{0, 8}, 0.68);
-  repair_obstacles(front, bench, repair);
-  rebalance_pathlength(front);
-
   Evaluator eval(bench);
-  TextTable ins_table({"Inserter", "Skew, ps", "CLR, ps", "Worst slew, ps",
-                       "Buffers"});
-  {
-    ClockTree tree = front;
-    insert_buffers_balanced(tree, bench, CompositeBuffer{0, 8});
-    const EvalResult r = eval.evaluate(tree);
-    ins_table.add_row({"delay-contour balanced", TextTable::num(r.nominal_skew, 2),
-                       TextTable::num(r.clr, 2), TextTable::num(r.worst_slew, 1),
-                       std::to_string(tree.buffer_count())});
-  }
-  std::printf("-- insertion strategy (before any optimization) --\n");
-  {
-    // Flow's inserter: the construction-only pipeline prefix.
-    FlowOptions only_insertion;
-    only_insertion.pipeline = "dme,repair,insert,polarity";
-    const FlowResult r = run_contango(bench, only_insertion);
-    ins_table.add_row({"van Ginneken + equalize", TextTable::num(r.eval.nominal_skew, 2),
-                       TextTable::num(r.eval.clr, 2),
-                       TextTable::num(r.eval.worst_slew, 1),
-                       std::to_string(r.tree.buffer_count())});
-  }
-  std::printf("%s\n", ins_table.to_string().c_str());
-  std::printf("(the delay-contour inserter balances buffer counts but lets\n"
-              " stage capacitance blow up where the delay gradient is low —\n"
-              " visible as a large worst slew)\n\n");
 
   // ---- DME balance-metric ablation. ----
   TextTable dme_table({"DME balance", "Wirelength, mm", "Path spread, um",

@@ -97,7 +97,7 @@ int main() {
     table.add_row({v.label, v.spec, TextTable::num(skew / n, 3),
                    TextTable::num(clr / n, 2),
                    TextTable::num(cap / n / 1000.0, 2),
-                   std::to_string(report.total_sim_runs()),
+                   std::to_string(report.totals().sim_runs),
                    TextTable::num(report.wall_seconds, 1)});
     reports.push_back(report);
     std::fflush(stdout);

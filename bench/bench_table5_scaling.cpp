@@ -128,15 +128,16 @@ int main() {
   }
 
   std::printf("\n%s\n", report.table().c_str());
+  const WorkCounters totals = report.totals();
   std::printf("%d threads: %.1f s wall, %.1f s process CPU "
               "(%.2fx concurrency), %ld sims total\n",
               report.threads, report.wall_seconds, report.process_cpu_seconds,
               report.process_cpu_seconds / report.wall_seconds,
-              report.total_sim_runs());
+              totals.sim_runs);
   // The incremental engine's scorecard: how many candidate evaluations
   // re-propagated only dirty paths instead of the whole tree.
   std::printf("evaluation split: %ld full-tree propagations, %ld incremental\n",
-              report.total_full_evals(), report.total_incremental_evals());
+              totals.full_evals, totals.incremental_evals);
   std::printf("Set CONTANGO_MAX_SINKS=50000 to run the paper's full sweep.\n");
   if (!options.json_report_path.empty()) {
     std::printf("JSON report written to %s\n", options.json_report_path.c_str());

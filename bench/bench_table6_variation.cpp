@@ -106,7 +106,7 @@ int main() {
   }
   std::printf("\n(skew/CLR in ps)\n%s", detail.to_string().c_str());
   std::printf("\n%d threads, %.1f s wall, %ld sims total\n", report.threads,
-              report.wall_seconds, report.total_sim_runs());
+              report.wall_seconds, report.totals().sim_runs);
   if (!options.json_report_path.empty()) {
     std::printf("JSON report written to %s\n", options.json_report_path.c_str());
   }

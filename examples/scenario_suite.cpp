@@ -83,6 +83,6 @@ int main(int argc, char** argv) {
   std::printf("\n%s\n", report.table().c_str());
   std::printf("%d threads: %.1f s wall, %.1f s process CPU, %ld sims total\n",
               report.threads, report.wall_seconds, report.process_cpu_seconds,
-              report.total_sim_runs());
+              report.totals().sim_runs);
   return report.all_ok() ? 0 : 1;
 }

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   std::printf("%-8s %14s %14s %12s %8s\n", "stage", "skew, ps", "CLR, ps",
               "cap, pF", "sims");
   for (const StageSnapshot& s : r.stages) {
-    std::printf("%-8s %14.3f %14.3f %12.2f %8d\n", s.name.c_str(), s.skew,
+    std::printf("%-8s %14.3f %14.3f %12.2f %8ld\n", s.name.c_str(), s.skew,
                 s.clr, s.cap / 1000.0, s.sim_runs);
   }
   std::printf("\nobstacle repair: %d L-flips, %d maze reroutes, %d contour "

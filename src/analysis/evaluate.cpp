@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "io/json.h"
+
 namespace contango {
 
 Ps CornerTiming::max_latency() const {
@@ -361,6 +363,13 @@ Ps effective_intrinsic(Ps nominal, const Technology& tech, Volt vdd) {
   return nominal * std::pow(tech.vdd_nom / vdd, tech.supply_alpha);
 }
 
+void WorkCounters::write_json(JsonWriter& w, const std::string& key_prefix) const {
+  w.kv(key_prefix + "sim_runs", sim_runs);
+  w.kv(key_prefix + "full_evals", full_evals);
+  w.kv(key_prefix + "incremental_evals", incremental_evals);
+  w.kv(key_prefix + "batched_stage_evals", batched_stage_evals);
+}
+
 Evaluator::Evaluator(const Benchmark& bench, EvalOptions options)
     : bench_(bench), options_(options), sim_(options.transient) {
   sink_caps_.reserve(bench.sinks.size());
@@ -394,17 +403,16 @@ void account_capacitance(EvalResult& result, const ClockTree& tree,
 }
 
 EvalResult Evaluator::evaluate(const ClockTree& tree) {
-  sim_runs_.fetch_add(1, std::memory_order_relaxed);
-  full_evals_.fetch_add(1, std::memory_order_relaxed);
+  ++counters_.sim_runs;
+  ++counters_.full_evals;
   const StagedNetlist net = extract_stages(tree, bench_, options_.extract);
   soa_.build(net);
   EvalResult result = evaluate_netlist(net, soa_, bench_, sim_,
                                        options_.source_input_slew, nullptr,
                                        &scratch_);
-  batched_stage_evals_.fetch_add(static_cast<long>(net.stages.size()) *
-                                     static_cast<long>(bench_.tech.corners.size()) *
-                                     kNumTransitions,
-                                 std::memory_order_relaxed);
+  counters_.batched_stage_evals += static_cast<long>(net.stages.size()) *
+                                   static_cast<long>(bench_.tech.corners.size()) *
+                                   kNumTransitions;
   account_capacitance(result, tree, bench_, sink_caps_);
   return result;
 }
@@ -441,9 +449,9 @@ EvalResult IncrementalEvaluator::evaluate() {
   stage_reuses_ += static_cast<long>(topo.size() * bench.tech.corners.size()) *
                        kNumTransitions -
                    simulated;
-  eval_.batched_stage_evals_.fetch_add(simulated, std::memory_order_relaxed);
-  eval_.sim_runs_.fetch_add(1, std::memory_order_relaxed);
-  eval_.incremental_evals_.fetch_add(1, std::memory_order_relaxed);
+  ++eval_.counters_.sim_runs;
+  ++eval_.counters_.incremental_evals;
+  eval_.counters_.batched_stage_evals += simulated;
   return result;
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "analysis/elmore.h"
@@ -84,9 +84,7 @@ struct EvalOptions {
   Ps source_input_slew = 10.0;  ///< transition time of the external clock
 };
 
-struct VariationModel;  // analysis/variation.h
-struct McOptions;       // analysis/montecarlo.h
-struct McReport;        // analysis/montecarlo.h
+class JsonWriter;  // io/json.h
 
 /// Reusable per-thread workspace of a CNE sweep: the kernel scratch and one
 /// stage's drive and tap staging.  Only capacity carries over between
@@ -135,60 +133,72 @@ void aggregate_corners(EvalResult& result, const Benchmark& bench);
 void account_capacitance(EvalResult& result, const ClockTree& tree,
                          const Benchmark& bench, const std::vector<Ff>& sink_caps);
 
+/// \brief Deterministic work counters of the evaluation engine: the
+/// analogue of the paper's SPICE-run budget (Table V reports those counts).
+///
+/// The one declaration of every counter.  Evaluator accumulates them;
+/// PassTiming, FlowResult and McReport (and SuiteReport::totals()) carry a
+/// snapshot, delta or sum of them.  A new counter is one field here plus
+/// one line in each of operator+=, operator- and write_json().
+struct WorkCounters {
+  /// Clock-network evaluations ("SPICE runs").  Every run is counted once
+  /// more as either a *full* evaluation (from-scratch extraction +
+  /// whole-tree propagation: Evaluator::evaluate(), calibration probes,
+  /// Monte-Carlo trials) or an *incremental* one (IncrementalEvaluator,
+  /// re-propagated along dirty paths only), so
+  /// sim_runs == full_evals + incremental_evals.
+  long sim_runs = 0;
+  long full_evals = 0;
+  long incremental_evals = 0;
+  /// Finer-grained work: (stage x corner x transition) transient stage
+  /// simulations.
+  long batched_stage_evals = 0;
+  /// Always 0; perfbench/ still reads it.
+  static constexpr long scalar_stage_evals = 0;
+
+  WorkCounters& operator+=(const WorkCounters& o) {
+    sim_runs += o.sim_runs;
+    full_evals += o.full_evals;
+    incremental_evals += o.incremental_evals;
+    batched_stage_evals += o.batched_stage_evals;
+    return *this;
+  }
+
+  /// Writes the counters as `<key_prefix>sim_runs`, `<key_prefix>full_evals`,
+  /// `<key_prefix>incremental_evals`, `<key_prefix>batched_stage_evals`, in
+  /// that order, into the currently open JSON object.
+  void write_json(JsonWriter& w, const std::string& key_prefix = "") const;
+};
+
+/// Counter delta `after - before`, e.g. the work one pass spent.
+inline WorkCounters operator-(const WorkCounters& after, const WorkCounters& before) {
+  WorkCounters d;
+  d.sim_runs = after.sim_runs - before.sim_runs;
+  d.full_evals = after.full_evals - before.full_evals;
+  d.incremental_evals = after.incremental_evals - before.incremental_evals;
+  d.batched_stage_evals = after.batched_stage_evals - before.batched_stage_evals;
+  return d;
+}
+
 /// Clock-Network Evaluation: runs the transient engine over every stage of
 /// the tree for every (supply corner x source transition) combination and
 /// aggregates skew, CLR, slew and capacitance checks.  Each evaluate() call
-/// counts as one simulation run — the analogue of the paper's SPICE-run
-/// budget (Table V reports those counts).
+/// counts as one full simulation run (WorkCounters).
 class Evaluator {
  public:
   explicit Evaluator(const Benchmark& bench, EvalOptions options = {});
 
   EvalResult evaluate(const ClockTree& tree);
 
-  /// \brief Monte-Carlo evaluation under process/supply variation: runs
-  /// `trials` randomized perturbations of the network (per-stage Vdd
-  /// deviates, global wire R/C scaling, per-sink load jitter — see
-  /// analysis/variation.h) and aggregates streaming skew/CLR/latency
-  /// statistics plus yield against a skew target.
-  ///
-  /// Each trial counts as one simulation run.  Results are bit-identical
-  /// for any worker count (analysis/montecarlo.h).  Trials use this
-  /// Evaluator's own EvalOptions — `options.eval` is ignored — so the MC
-  /// distribution is always comparable to this Evaluator's nominal
-  /// evaluate().  Defined in montecarlo.cpp.
-  McReport evaluate_mc(const ClockTree& tree, int trials,
-                       const VariationModel& model, const McOptions& options);
+  /// Work spent so far by evaluate() and every IncrementalEvaluator bound
+  /// to this Evaluator.  Read on the evaluating thread (like evaluate(),
+  /// the counters are not synchronized).
+  const WorkCounters& counters() const { return counters_; }
 
-  /// Number of evaluate() calls so far ("SPICE runs").  Atomic so that
-  /// per-thread evaluator counts can be read and aggregated (e.g. into a
-  /// suite-wide total) while other workers are still evaluating.
-  /// Every run is counted exactly once more as either a *full* evaluation
-  /// (from-scratch extraction + whole-tree propagation: evaluate(),
-  /// calibration probes, Monte-Carlo trials) or an *incremental* one
-  /// (IncrementalEvaluator::evaluate, re-propagated along dirty paths
-  /// only), so sim_runs() == full_evals() + incremental_evals().
-  int sim_runs() const { return sim_runs_.load(std::memory_order_relaxed); }
-  int full_evals() const { return full_evals_.load(std::memory_order_relaxed); }
-  int incremental_evals() const {
-    return incremental_evals_.load(std::memory_order_relaxed);
-  }
-
-  /// Finer-grained work accounting: (stage x corner x transition) transient
-  /// stage simulations run across evaluate(), IncrementalEvaluator and
-  /// evaluate_mc().
-  long batched_stage_evals() const {
-    return batched_stage_evals_.load(std::memory_order_relaxed);
-  }
+  /// counters().batched_stage_evals; perfbench/ reads it.
+  long batched_stage_evals() const { return counters_.batched_stage_evals; }
   /// Always 0; perfbench/ still reads it.
-  long scalar_stage_evals() const { return 0; }
-
-  void reset_sim_runs() {
-    sim_runs_.store(0, std::memory_order_relaxed);
-    full_evals_.store(0, std::memory_order_relaxed);
-    incremental_evals_.store(0, std::memory_order_relaxed);
-    batched_stage_evals_.store(0, std::memory_order_relaxed);
-  }
+  long scalar_stage_evals() const { return WorkCounters::scalar_stage_evals; }
 
   const Benchmark& benchmark() const { return bench_; }
   const EvalOptions& options() const { return options_; }
@@ -202,10 +212,7 @@ class Evaluator {
   EvalOptions options_;
   TransientSimulator sim_;
   std::vector<Ff> sink_caps_;
-  std::atomic<int> sim_runs_{0};
-  std::atomic<int> full_evals_{0};
-  std::atomic<int> incremental_evals_{0};
-  std::atomic<long> batched_stage_evals_{0};
+  WorkCounters counters_;
   /// Reusable evaluation workspace: the SoA mirror rebuilt per evaluate()
   /// (buffers recycled) and the sweep scratch.  evaluate() is not
   /// concurrently reentrant — each suite worker owns its Evaluator.

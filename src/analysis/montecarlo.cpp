@@ -147,7 +147,10 @@ McReport run_montecarlo(const Benchmark& bench, const ClockTree& tree,
   report.samples.assign(static_cast<std::size_t>(trials), McTrial{});
   std::vector<BlockStats> blocks(static_cast<std::size_t>(num_blocks));
 
-  // Trials plus the nominal reference, in stage-evaluation units.
+  // Every trial is one full CNE pass; the stage-evaluation units cover the
+  // trials plus the nominal reference.
+  report.sim_runs = trials;
+  report.full_evals = trials;
   report.batched_stage_evals = static_cast<long>(trials + 1) *
                                static_cast<long>(base.stages.size()) *
                                static_cast<long>(bench.tech.corners.size()) *
@@ -220,22 +223,6 @@ McReport run_montecarlo(const Benchmark& bench, const ClockTree& tree,
   report.legal_fraction = static_cast<double>(legal) / static_cast<double>(trials);
   report.yield = static_cast<double>(pass) / static_cast<double>(trials);
   report.wall_seconds = timer.seconds();
-  return report;
-}
-
-McReport Evaluator::evaluate_mc(const ClockTree& tree, int trials,
-                                const VariationModel& model,
-                                const McOptions& options) {
-  McOptions opts = options;
-  opts.trials = trials;
-  opts.eval = options_;
-  McReport report = run_montecarlo(bench_, tree, model, opts);
-  // Every trial is one full CNE pass — count it against the SPICE-run
-  // budget (and the full-propagation tally) like any other evaluation.
-  sim_runs_.fetch_add(trials, std::memory_order_relaxed);
-  full_evals_.fetch_add(trials, std::memory_order_relaxed);
-  batched_stage_evals_.fetch_add(report.batched_stage_evals,
-                                 std::memory_order_relaxed);
   return report;
 }
 

@@ -123,15 +123,16 @@ struct McOptions {
   /// under a non-trivial constraint block — every sink window and
   /// inter-domain bound holds.
   Ps skew_target = 10.0;
-  /// Numerical options of the per-trial evaluation.  Note:
-  /// Evaluator::evaluate_mc overrides this with the evaluator's own
-  /// EvalOptions so trials stay comparable to its nominal evaluate().
+  /// Numerical options of the per-trial evaluation.
   EvalOptions eval;
 };
 
 /// Full Monte-Carlo report: nominal reference, per-metric distribution
 /// summaries, yield, and the raw per-trial records (index = trial number).
-struct McReport {
+/// Its WorkCounters count every trial as one full simulation run
+/// (sim_runs == full_evals == trials) and the stage-evaluation units of all
+/// trials plus the nominal reference.
+struct McReport : WorkCounters {
   std::string benchmark;
   int trials = 0;
   int threads = 1;  ///< worker count actually used
@@ -153,12 +154,6 @@ struct McReport {
   double legal_fraction = 0.0;  ///< fraction of trials with no violation
   std::vector<McTrial> samples;
   double wall_seconds = 0.0;
-
-  /// Stage-evaluation units — (stage x corner x transition) integrations —
-  /// spent across all trials plus the nominal reference.
-  long batched_stage_evals = 0;
-  /// Always 0; perfbench/ still reads it.
-  static constexpr long scalar_stage_evals = 0;
 
   /// Serializes the report as a JSON object (io/json); `with_samples`
   /// includes the per-trial array (one object per trial).

@@ -6,33 +6,17 @@
 #include "analysis/evaluate.h"
 #include "cts/obstacles.h"
 #include "cts/polarity.h"
-#include "cts/vanginneken.h"
 #include "netlist/benchmark.h"
 #include "rctree/clocktree.h"
 #include "util/cancel.h"
 
 namespace contango {
 
-/// Options of the full Contango flow (paper Fig. 1).
+/// Options of the full Contango flow (paper Fig. 1).  Every per-pass
+/// setting (ladder, reserve, round caps, snaking units, ...) is a
+/// `pass:key=value` parameter of the pipeline spec, defaulted by the pass.
 struct FlowOptions {
-  BufferInsertionOptions insertion;
   EvalOptions eval;
-
-  /// Strongest composite tried is unit x max_ladder (the paper's "batches
-  /// of 16x, 24x, etc.").
-  int max_ladder = 8;
-  /// Power/capacitance reserve gamma: buffer selection stays within
-  /// (1 - gamma) of the capacitance budget (paper: gamma = 10%).
-  double power_reserve = 0.10;
-
-  int max_sizing_rounds = 10;    ///< TWSZ iteration cap
-  int max_snaking_rounds = 14;   ///< TWSN iteration cap
-  int max_bottom_rounds = 10;    ///< BWSN iteration cap
-  int max_buffer_sizing_iters = 5;  ///< TBSZ schedule length (p_i = 1/(i+3))
-  int branch_levels = 4;        ///< levels sized by capacitance borrowing
-
-  Um snake_unit = 20.0;   ///< l_wn for top-down snaking
-  Um bottom_unit = 5.0;   ///< l_wn for bottom-level fine-tuning
 
   /// Pass-pipeline spec (cts/pipeline.h): comma-separated pass names with
   /// optional `pass:key=value` overrides, e.g.
@@ -60,45 +44,28 @@ struct StageSnapshot {
   Ps clr = 0.0;
   Ps max_latency = 0.0;
   Ff cap = 0.0;
-  int sim_runs = 0;  ///< cumulative evaluation count at snapshot time
+  long sim_runs = 0;  ///< cumulative evaluation count at snapshot time
   double seconds = 0.0;
 };
 
 /// Cost accounting of one executed pass (cts/pipeline.h): where the flow's
-/// wall time, CPU time and simulation budget actually went.
-struct PassTiming {
+/// wall time, CPU time and simulation budget actually went.  The
+/// WorkCounters are the work this pass spent.
+struct PassTiming : WorkCounters {
   std::string name;  ///< unique stage name, e.g. "INSERT", "TWSZ", "TWSZ#2"
   double wall_seconds = 0.0;
   double cpu_seconds = 0.0;  ///< thread CPU time of the pass
-  int sim_runs = 0;          ///< evaluations this pass spent
-  /// Split of `sim_runs` by evaluation mode: full-tree extractions +
-  /// propagations vs. incremental (dirty-path) re-propagations.
-  int full_evals = 0;
-  int incremental_evals = 0;
-  /// Stage-evaluation units — (stage x corner x transition) transient
-  /// integrations — this pass spent.
-  long batched_stage_evals = 0;
-  /// Always 0; perfbench/ still reads it.
-  static constexpr long scalar_stage_evals = 0;
 };
 
-/// Full result of one Contango run.
-struct FlowResult {
+/// Full result of one Contango run.  The WorkCounters are the work of the
+/// whole flow (Table V reports sim_runs and its full/incremental split).
+struct FlowResult : WorkCounters {
   ClockTree tree;
   EvalResult eval;
   std::vector<StageSnapshot> stages;
   ObstacleRepairReport obstacles;
   PolarityFix polarity;
   CompositeBuffer buffer{0, 1};  ///< composite selected for insertion
-  int sim_runs = 0;
-  /// Split of `sim_runs` by evaluation mode (sim_runs == full_evals +
-  /// incremental_evals); the Table V scaling bench reports both.
-  int full_evals = 0;
-  int incremental_evals = 0;
-  /// Stage-evaluation units spent over the whole flow (see PassTiming).
-  long batched_stage_evals = 0;
-  /// Always 0; perfbench/ still reads it.
-  static constexpr long scalar_stage_evals = 0;
   double seconds = 0.0;
 
   /// The spec the flow actually ran (resolved_pipeline_spec of the options).

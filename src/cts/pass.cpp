@@ -1,5 +1,6 @@
 #include "cts/pass.h"
 
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -28,7 +29,7 @@ FlowContext::FlowContext(const Benchmark& bench_in, const FlowOptions& options_i
       eval(bench_in, options_in.eval),
       unit_(best_unit_composite(bench_in.tech)),
       unit_slew_cap_(
-          slew_free_cap(bench_in.tech, unit_, options_in.insertion.slew_margin)),
+          slew_free_cap(bench_in.tech, unit_, BufferInsertionOptions{}.slew_margin)),
       incremental_(eval) {}
 
 EvalResult FlowContext::evaluate_tree() {
@@ -75,11 +76,11 @@ void FlowContext::ensure_initial() {
 void FlowContext::snapshot(const std::string& name) {
   result.stages.push_back(StageSnapshot{name, current_.nominal_skew,
                                         current_.clr, current_.max_latency,
-                                        current_.total_cap, eval.sim_runs(),
+                                        current_.total_cap, eval.counters().sim_runs,
                                         timer_.seconds()});
-  Log::info("contango[%s] %s: skew %.3f ps, CLR %.3f ps, cap %.1f fF, %d sims",
+  Log::info("contango[%s] %s: skew %.3f ps, CLR %.3f ps, cap %.1f fF, %ld sims",
             bench.name.c_str(), name.c_str(), current_.nominal_skew,
-            current_.clr, current_.total_cap, eval.sim_runs());
+            current_.clr, current_.total_cap, eval.counters().sim_runs);
 }
 
 std::string FlowContext::unique_stage_name(const std::string& base) {
@@ -190,11 +191,12 @@ double parse_double_param(const Pass& pass, const std::string& key,
   try {
     std::size_t pos = 0;
     const double parsed = std::stod(value, &pos);
-    if (pos == value.size()) return parsed;
+    // std::stod also parses "nan" and "inf"; no parameter means either.
+    if (pos == value.size() && std::isfinite(parsed)) return parsed;
   } catch (const std::exception&) {
   }
   throw PipelineError("pass '" + std::string(pass.name()) + "': parameter '" +
-                      key + "=" + value + "' is not a valid number");
+                      key + "=" + value + "' is not a valid finite number");
 }
 
 /// Smallest-input-cap library cell, used for polarity-correcting inverters.
@@ -229,7 +231,7 @@ class DmePass : public Pass {
             "' must be 'pathlength' or 'elmore'");
       }
     } else if (key == "wire_width") {
-      wire_width_ = static_cast<int>(parse_long_param(*this, key, value));
+      wire_width_ = parse_long_param(*this, key, value);
     } else {
       Pass::set_param(key, value);
     }
@@ -238,13 +240,24 @@ class DmePass : public Pass {
   void run(FlowContext& ctx) override {
     DmeOptions dme;
     if (balance_) dme.balance = *balance_;
-    if (wire_width_) dme.wire_width = *wire_width_;
+    if (wire_width_) {
+      // The wire library is the benchmark's, so the range check waits
+      // until the pass runs.
+      const long widths = static_cast<long>(ctx.bench.tech.wires.size());
+      if (*wire_width_ < 0 || *wire_width_ >= widths) {
+        throw PipelineError("pass 'dme': parameter 'wire_width=" +
+                            std::to_string(*wire_width_) + "' must be in [0, " +
+                            std::to_string(widths) +
+                            "), the benchmark's wire-library size");
+      }
+      dme.wire_width = static_cast<int>(*wire_width_);
+    }
     ctx.tree = build_zst(ctx.bench, dme);
   }
 
  private:
   std::optional<DmeBalance> balance_;
-  std::optional<int> wire_width_;
+  std::optional<long> wire_width_;
 };
 
 /// Obstacle legalization + post-detour rebalance (paper section IV-A).
@@ -301,7 +314,14 @@ class InsertPass : public Pass {
     } else if (key == "reserve") {
       reserve_ = parse_double_param(*this, key, value);
     } else if (key == "spacing") {
-      spacing_ = parse_double_param(*this, key, value);
+      const double spacing = parse_double_param(*this, key, value);
+      // The candidate walk steps by the spacing: 0 never advances and a
+      // negative step never ends.
+      if (!(spacing > 0.0)) {
+        throw PipelineError("pass 'insert': parameter 'spacing=" + value +
+                            "' must be > 0");
+      }
+      insertion_.spacing = spacing;
     } else {
       Pass::set_param(key, value);
     }
@@ -310,24 +330,20 @@ class InsertPass : public Pass {
   void run(FlowContext& ctx) override {
     ctx.require_tree("pass 'insert'");
     const CompositeBuffer unit = ctx.unit();
-    BufferInsertionOptions insertion = ctx.options.insertion;
-    if (spacing_) insertion.spacing = *spacing_;
-    const int max_ladder = max_ladder_ ? *max_ladder_ : ctx.options.max_ladder;
-    const double reserve = reserve_ ? *reserve_ : ctx.options.power_reserve;
 
     std::vector<Ff> sink_caps;
     for (const Sink& s : ctx.bench.sinks) sink_caps.push_back(s.cap);
     const Ff cap_budget =
         ctx.bench.tech.cap_limit > 0.0
-            ? (1.0 - reserve) * ctx.bench.tech.cap_limit
+            ? (1.0 - reserve_) * ctx.bench.tech.cap_limit
             : std::numeric_limits<double>::max();
 
     ClockTree buffered;
     bool have_candidate = false;
-    for (int k = 1; k <= max_ladder; ++k) {
+    for (int k = 1; k <= max_ladder_; ++k) {
       const CompositeBuffer composite{unit.inverter_type, unit.count * k};
       ClockTree candidate = ctx.tree;
-      insert_buffers(candidate, ctx.bench, composite, insertion);
+      insert_buffers(candidate, ctx.bench, composite, insertion_);
       // Van Ginneken spares buffers on fast paths; topping those paths up
       // to the common depth slows exactly the fast sinks and keeps
       // per-path supply sensitivity uniform.
@@ -347,9 +363,13 @@ class InsertPass : public Pass {
   }
 
  private:
-  std::optional<int> max_ladder_;
-  std::optional<double> reserve_;
-  std::optional<Um> spacing_;
+  /// Strongest composite tried is unit x max_ladder (the paper's "batches
+  /// of 16x, 24x, etc.").
+  int max_ladder_ = 8;
+  /// Power/capacitance reserve gamma: buffer selection stays within
+  /// (1 - gamma) of the capacitance budget (paper: gamma = 10%).
+  double reserve_ = 0.10;
+  BufferInsertionOptions insertion_;  ///< `spacing` is settable
 };
 
 /// Sink polarity correction (paper section IV-D).
@@ -412,8 +432,7 @@ class TbszPass : public Pass {
                                  max_spacing);
       ctx.try_accept(std::move(candidate), PassObjective::kClr);
     }
-    const int iters = iters_ ? *iters_ : ctx.options.max_buffer_sizing_iters;
-    for (int i = 1; i <= iters; ++i) {
+    for (int i = 1; i <= iters_; ++i) {
       const double fraction = 1.0 / (i + 3);
       // Buffer resizes are pure edit deltas: only the resized buffers'
       // stages re-simulate, and a rejected iteration rolls back O(dirty).
@@ -426,17 +445,15 @@ class TbszPass : public Pass {
     {
       // Branch sizing pays for itself by borrowing bottom-level cap.
       TreeEditSession session = ctx.edit_session();
-      upsize_branch_buffers(session,
-                            levels_ ? *levels_ : ctx.options.branch_levels,
-                            0.25);
+      upsize_branch_buffers(session, levels_, 0.25);
       downsize_bottom_buffers(session, 1);
       ctx.try_accept(session, PassObjective::kClr);
     }
   }
 
  private:
-  std::optional<int> iters_;
-  std::optional<int> levels_;
+  int iters_ = 5;   ///< sizing schedule length (p_i = 1/(i+3))
+  int levels_ = 4;  ///< levels sized by capacitance borrowing
 };
 
 /// TWSZ: iterative top-down wiresizing (paper section IV-E).
@@ -461,8 +478,7 @@ class TwszPass : public Pass {
     params.tws_per_um = calibrate_tws(ctx.tree, ctx.eval, ctx.current());
     if (safety_) params.safety = *safety_;
     const double base_safety = params.safety;
-    ctx.refine(rounds_ ? *rounds_ : ctx.options.max_sizing_rounds,
-               PassObjective::kSkew,
+    ctx.refine(rounds_, PassObjective::kSkew,
                [&](TreeEditSession& session, const EdgeSlacks& slacks,
                    double scale) {
                  params.safety = base_safety * scale;
@@ -471,7 +487,7 @@ class TwszPass : public Pass {
   }
 
  private:
-  std::optional<int> rounds_;
+  int rounds_ = 10;
   std::optional<double> safety_;
 };
 
@@ -496,13 +512,12 @@ class TwsnPass : public Pass {
 
   void run(FlowContext& ctx) override {
     WireSnakingParams params;
-    params.unit = unit_ ? *unit_ : ctx.options.snake_unit;
+    params.unit = unit_;
     params.twn_per_unit =
         calibrate_twn(ctx.tree, ctx.eval, ctx.current(), params.unit);
     if (safety_) params.safety = *safety_;
     const double base_safety = params.safety;
-    ctx.refine(rounds_ ? *rounds_ : ctx.options.max_snaking_rounds,
-               PassObjective::kSkew,
+    ctx.refine(rounds_, PassObjective::kSkew,
                [&](TreeEditSession& session, const EdgeSlacks& slacks,
                    double scale) {
                  params.safety = base_safety * scale;
@@ -511,8 +526,8 @@ class TwsnPass : public Pass {
   }
 
  private:
-  std::optional<int> rounds_;
-  std::optional<Um> unit_;
+  int rounds_ = 14;
+  Um unit_ = 20.0;  ///< l_wn, the snaking step
   std::optional<double> safety_;
 };
 
@@ -537,13 +552,12 @@ class BwsnPass : public Pass {
 
   void run(FlowContext& ctx) override {
     BottomLevelParams params;
-    params.unit = unit_ ? *unit_ : ctx.options.bottom_unit;
+    params.unit = unit_;
     params.twn_per_unit =
         calibrate_bottom_twn(ctx.tree, ctx.eval, ctx.current(), params.unit);
     if (safety_) params.safety = *safety_;
     const double base_safety = params.safety;
-    ctx.refine(rounds_ ? *rounds_ : ctx.options.max_bottom_rounds,
-               PassObjective::kSkew,
+    ctx.refine(rounds_, PassObjective::kSkew,
                [&](TreeEditSession& session, const EdgeSlacks& slacks,
                    double scale) {
                  params.safety = base_safety * scale;
@@ -552,8 +566,8 @@ class BwsnPass : public Pass {
   }
 
  private:
-  std::optional<int> rounds_;
-  std::optional<Um> unit_;
+  int rounds_ = 10;
+  Um unit_ = 5.0;  ///< l_wn, the fine-tuning step
   std::optional<double> safety_;
 };
 

@@ -188,9 +188,9 @@ class FlowContext {
 /// \brief One composable stage of the flow.
 ///
 /// Implementations are small adapters over the algorithm modules
-/// (cts/dme.h, cts/wiresizing.h, ...): they read their defaults from
-/// FlowContext::options, apply any per-instance `pass:key=value` overrides
-/// from the pipeline spec, and propose changes through the context.
+/// (cts/dme.h, cts/wiresizing.h, ...): they own their parameter defaults,
+/// apply any per-instance `pass:key=value` overrides from the pipeline
+/// spec, and propose changes through the context.
 /// Register new passes with PassRegistry (cts/pipeline.h).
 class Pass {
  public:

@@ -193,7 +193,6 @@ std::vector<std::string> Pipeline::pass_names() const {
 FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
   FlowContext ctx(bench, options);
   ctx.result.pipeline_spec = spec_;
-  const Evaluator& counters = ctx.eval;  // simulation budget accounting
 
   for (const auto& pass : passes_) {
     // Pass boundaries are the flow's cancellation points: the tree, the
@@ -209,10 +208,7 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
     if (gated) ctx.ensure_initial();
 
     const std::string stage_name = ctx.unique_stage_name(pass->display_name());
-    const int sims_before = counters.sim_runs();
-    const int full_before = counters.full_evals();
-    const int incremental_before = counters.incremental_evals();
-    const long batched_before = counters.batched_stage_evals();
+    const WorkCounters before = ctx.eval.counters();
     const double cpu_before = thread_cpu_seconds();
     Timer wall;
 
@@ -243,15 +239,9 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
       ctx.note_tree_mutated();
     }
 
-    PassTiming timing;
-    timing.name = stage_name;
-    timing.wall_seconds = wall.seconds();
-    timing.cpu_seconds = thread_cpu_seconds() - cpu_before;
-    timing.sim_runs = counters.sim_runs() - sims_before;
-    timing.full_evals = counters.full_evals() - full_before;
-    timing.incremental_evals = counters.incremental_evals() - incremental_before;
-    timing.batched_stage_evals = counters.batched_stage_evals() - batched_before;
-    ctx.result.pass_timings.push_back(std::move(timing));
+    ctx.result.pass_timings.push_back(
+        PassTiming{ctx.eval.counters() - before, stage_name, wall.seconds(),
+                   thread_cpu_seconds() - cpu_before});
   }
 
   // Construction-only pipelines still end with a valid evaluation and the
@@ -261,10 +251,7 @@ FlowResult Pipeline::run(const Benchmark& bench, const FlowOptions& options) {
   FlowResult result = std::move(ctx.result);
   result.tree = std::move(ctx.tree);
   result.eval = ctx.current();
-  result.sim_runs = counters.sim_runs();
-  result.full_evals = counters.full_evals();
-  result.incremental_evals = counters.incremental_evals();
-  result.batched_stage_evals = counters.batched_stage_evals();
+  static_cast<WorkCounters&>(result) = ctx.eval.counters();
   result.seconds = ctx.timer().seconds();
   return result;
 }

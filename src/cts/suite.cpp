@@ -21,37 +21,11 @@ extern char** environ;
 
 namespace contango {
 
-long SuiteReport::total_sim_runs() const {
-  long total = 0;
+WorkCounters SuiteReport::totals() const {
+  WorkCounters total;
   for (const SuiteRun& r : runs) {
-    total += r.result.sim_runs;
-    // Each Monte-Carlo trial is one full CNE pass; count it like any other
-    // evaluation (r.result.sim_runs only covers the synthesis flow).
-    if (r.has_mc) total += r.mc.trials;
-  }
-  return total;
-}
-
-long SuiteReport::total_full_evals() const {
-  long total = 0;
-  for (const SuiteRun& r : runs) {
-    total += r.result.full_evals;
-    if (r.has_mc) total += r.mc.trials;  // every trial is a full CNE pass
-  }
-  return total;
-}
-
-long SuiteReport::total_incremental_evals() const {
-  long total = 0;
-  for (const SuiteRun& r : runs) total += r.result.incremental_evals;
-  return total;
-}
-
-long SuiteReport::total_batched_stage_evals() const {
-  long total = 0;
-  for (const SuiteRun& r : runs) {
-    total += r.result.batched_stage_evals;
-    if (r.has_mc) total += r.mc.batched_stage_evals;
+    total += r.result;
+    if (r.has_mc) total += r.mc;
   }
   return total;
 }
@@ -140,10 +114,7 @@ std::string SuiteReport::to_json() const {
   w.kv("threads", static_cast<long>(threads));
   w.kv("wall_seconds", wall_seconds);
   w.kv("process_cpu_seconds", process_cpu_seconds);
-  w.kv("total_sim_runs", total_sim_runs());
-  w.kv("total_full_evals", total_full_evals());
-  w.kv("total_incremental_evals", total_incremental_evals());
-  w.kv("total_batched_stage_evals", total_batched_stage_evals());
+  totals().write_json(w, "total_");
   w.kv("all_ok", all_ok());
   w.key("runs");
   w.begin_array();
@@ -165,10 +136,7 @@ std::string SuiteReport::to_json() const {
     }
     w.kv("seconds", r.seconds);
     if (r.load_seconds >= 0.0) w.kv("load_seconds", r.load_seconds);
-    w.kv("sim_runs", static_cast<long>(r.result.sim_runs));
-    w.kv("full_evals", static_cast<long>(r.result.full_evals));
-    w.kv("incremental_evals", static_cast<long>(r.result.incremental_evals));
-    w.kv("batched_stage_evals", r.result.batched_stage_evals);
+    r.result.write_json(w);
     w.kv("clr_ps", r.result.eval.clr);
     w.kv("skew_ps", r.result.eval.nominal_skew);
     w.kv("max_latency_ps", r.result.eval.max_latency);
@@ -198,10 +166,7 @@ std::string SuiteReport::to_json() const {
       w.kv("name", p.name);
       w.kv("wall_seconds", p.wall_seconds);
       w.kv("cpu_seconds", p.cpu_seconds);
-      w.kv("sim_runs", static_cast<long>(p.sim_runs));
-      w.kv("full_evals", static_cast<long>(p.full_evals));
-      w.kv("incremental_evals", static_cast<long>(p.incremental_evals));
-      w.kv("batched_stage_evals", p.batched_stage_evals);
+      p.write_json(w);
       w.end_object();
     }
     w.end_array();
@@ -215,7 +180,7 @@ std::string SuiteReport::to_json() const {
       w.kv("clr_ps", s.clr);
       w.kv("max_latency_ps", s.max_latency);
       w.kv("cap_ff", s.cap);
-      w.kv("sim_runs", static_cast<long>(s.sim_runs));
+      w.kv("sim_runs", s.sim_runs);
       w.end_object();
     }
     w.end_array();

@@ -139,20 +139,10 @@ struct SuiteReport {
   /// oversubscription, where per-run wall times inflate.
   double process_cpu_seconds = 0.0;
 
-  /// Aggregated evaluation count across all runs ("SPICE runs"), including
-  /// one per Monte-Carlo trial when the MC pass ran.
-  long total_sim_runs() const;
-
-  /// Split of total_sim_runs() by evaluation mode: full-tree extractions +
-  /// propagations (synthesis full evals + every MC trial) vs. incremental
-  /// dirty-path re-propagations.  The Table V sweep tracks the full-eval
-  /// drop the incremental engine buys.
-  long total_full_evals() const;
-  long total_incremental_evals() const;
-
-  /// Stage-evaluation units — (stage x corner x transition) transient
-  /// integrations — spent across all runs (synthesis plus Monte-Carlo).
-  long total_batched_stage_evals() const;
+  /// Work counters summed over all runs: each run's synthesis flow plus,
+  /// when the Monte-Carlo pass ran, its trials (one full simulation run
+  /// each) and their stage evaluations.
+  WorkCounters totals() const;
 
   /// Sum of per-run wall times.  Each run's wall time includes time its
   /// worker spent descheduled, so on an oversubscribed machine this

@@ -9,16 +9,15 @@ Hash128 job_content_hash(const std::vector<Benchmark>& benchmarks,
                          const SuiteOptions& options) {
   Hasher h;
   // Version tag first: bumping it invalidates every old key when the
-  // schema of this function changes.  Jobs whose benchmarks all carry
-  // trivial TimingConstraints keep the exact v2 key — legacy submissions
-  // hash identically across this schema change — while any non-trivial
-  // constraint block switches the whole job to the v3 schema, which folds
-  // an explicit constraint digest in below.
+  // schema of this function changes.  v4 dropped the per-pass FlowOptions
+  // numerics (they became pipeline-spec parameters, hashed with the spec);
+  // any non-trivial constraint block switches the whole job to v5, which
+  // additionally folds an explicit constraint digest in below.
   bool any_constrained = false;
   for (const Benchmark& bench : benchmarks) {
     any_constrained = any_constrained || !bench.constraints.trivial();
   }
-  h.update_field(any_constrained ? "contango-job-v3" : "contango-job-v2");
+  h.update_field(any_constrained ? "contango-job-v5" : "contango-job-v4");
 
   // Workload: benchmark_content_hash per benchmark — a streamed FNV-1a
   // over the canonical `.bench` bytes, never materializing the text (a
@@ -63,21 +62,8 @@ Hash128 job_content_hash(const std::vector<Benchmark>& benchmarks,
   if (!options.pipeline_spec.empty()) flow.pipeline = options.pipeline_spec;
   h.update_field(resolved_pipeline_spec(flow));
 
-  // Result-affecting flow numerics.  threads is deliberately absent: the
-  // worker count is bit-identical by construction.
-  h.update_u64(static_cast<std::uint64_t>(flow.max_ladder));
-  h.update_double(flow.power_reserve);
-  h.update_u64(static_cast<std::uint64_t>(flow.max_sizing_rounds));
-  h.update_u64(static_cast<std::uint64_t>(flow.max_snaking_rounds));
-  h.update_u64(static_cast<std::uint64_t>(flow.max_bottom_rounds));
-  h.update_u64(static_cast<std::uint64_t>(flow.max_buffer_sizing_iters));
-  h.update_u64(static_cast<std::uint64_t>(flow.branch_levels));
-  h.update_double(flow.snake_unit);
-  h.update_double(flow.bottom_unit);
-  h.update_double(flow.insertion.spacing);
-  h.update_double(flow.insertion.slew_margin);
-  h.update_u64(flow.insertion.fast_merge ? 1 : 0);
-  h.update_u64(static_cast<std::uint64_t>(flow.insertion.max_options));
+  // Result-affecting flow numerics outside the spec.  threads is
+  // deliberately absent: the worker count is bit-identical by construction.
   h.update_double(flow.eval.source_input_slew);
 
   // Monte-Carlo configuration.  The variation model and targets are inert

@@ -28,19 +28,18 @@ namespace contango {
 /// option that can change the report bytes.
 ///
 /// Covered: a version tag (bump it when the key schema changes —
-/// "contango-job-v2" for all-trivial-constraint jobs, unchanged from
-/// before the TimingConstraints refactor, and "contango-job-v3" when any
-/// benchmark carries a non-trivial constraint block, which additionally
-/// folds the decoded domains/windows/bounds in), the
+/// "contango-job-v4" for all-trivial-constraint jobs and "contango-job-v5"
+/// when any benchmark carries a non-trivial constraint block, which
+/// additionally folds the decoded domains/windows/bounds in), the
 /// benchmark_content_hash of every benchmark — a streamed FNV-1a over the
 /// canonical `.bench` bytes, so text and `.cbench` submissions of the
 /// same instance share an entry without materializing the text (the
 /// benchmark count is hashed first, so list boundaries are
-/// unambiguous) — the resolved pipeline spec, the
+/// unambiguous) — the resolved pipeline spec (which carries every per-pass
+/// setting: ladder, reserve, round caps, snaking units...), the
 /// Monte-Carlo configuration (trial count; sigmas/seed/skew-target only
-/// when trials > 0, since they are inert otherwise), and the
-/// result-affecting FlowOptions numerics (ladder, reserve, round caps,
-/// snaking units...).
+/// when trials > 0, since they are inert otherwise), and the source input
+/// slew of FlowOptions::eval.
 ///
 /// Deliberately NOT covered: `threads` — the worker count is bit-identical
 /// by construction (the suite runner's contract), so two submissions

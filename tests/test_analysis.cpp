@@ -147,7 +147,7 @@ TEST(Evaluator, SingleWireTreeEndToEnd) {
 
   Evaluator eval(bench);
   const EvalResult r = eval.evaluate(tree);
-  EXPECT_EQ(eval.sim_runs(), 1);
+  EXPECT_EQ(eval.counters().sim_runs, 1);
   ASSERT_EQ(r.corners.size(), 2u);
   EXPECT_TRUE(r.all_sinks_reached);
   // s1 is further: positive skew.
@@ -184,7 +184,7 @@ TEST(Evaluator, BufferedTreeInvertsAndDelays) {
   // Repeaters split the quadratic wire delay of this 3 mm line: slew must
   // improve sharply.  (Latency is allowed to pay the buffer intrinsics.)
   EXPECT_LT(buf.worst_slew, plain.worst_slew);
-  EXPECT_EQ(eval.sim_runs(), 2);
+  EXPECT_EQ(eval.counters().sim_runs, 2);
 }
 
 TEST(Evaluator, RiseFallDiverge) {

@@ -101,8 +101,8 @@ TEST(Incremental, MatchesFullOnEveryScenarioFamily) {
     expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree),
                          "warm incremental vs full");
     EXPECT_GT(inc.stage_reuses(), 0);
-    EXPECT_EQ(inc_owner.incremental_evals(), 2);
-    EXPECT_EQ(full_eval.full_evals(), 2);
+    EXPECT_EQ(inc_owner.counters().incremental_evals, 2);
+    EXPECT_EQ(full_eval.counters().full_evals, 2);
   }
 }
 
@@ -273,8 +273,8 @@ TEST(Incremental, RandomizedEditFuzzOverFamilies) {
       expect_bit_identical(last, full_eval.evaluate(tree), "incremental vs full");
     }
     EXPECT_GT(inc.stage_reuses(), 0);
-    EXPECT_EQ(inc_owner.sim_runs(),
-              inc_owner.full_evals() + inc_owner.incremental_evals());
+    EXPECT_EQ(inc_owner.counters().sim_runs,
+              inc_owner.counters().full_evals + inc_owner.counters().incremental_evals);
   }
 }
 

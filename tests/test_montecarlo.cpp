@@ -11,8 +11,8 @@
 
 #include "analysis/montecarlo.h"
 #include "analysis/variation.h"
-#include "cts/balanced_insertion.h"
 #include "cts/dme.h"
+#include "cts/vanginneken.h"
 #include "netlist/generators.h"
 
 namespace contango {
@@ -37,7 +37,7 @@ struct Fixture {
                                  8.0 + 2.0 * (i % 4)});
     }
     tree = build_zst(bench);
-    insert_buffers_balanced(tree, bench, CompositeBuffer{0, 8});
+    insert_buffers(tree, bench, CompositeBuffer{0, 8});
   }
 };
 
@@ -295,15 +295,17 @@ TEST(MonteCarlo, YieldAgainstSkewTarget) {
   EXPECT_LE(tight.yield, loose.yield);
 }
 
-TEST(MonteCarlo, EvaluateMcCountsTrialsAsSimRuns) {
+TEST(MonteCarlo, ReportCountsTrialsAsFullSimRuns) {
   const Fixture f;
-  Evaluator eval(f.bench);
   McOptions options;
+  options.trials = 12;
   options.threads = 2;
-  const McReport report = eval.evaluate_mc(f.tree, 12, typical_model(), options);
+  const McReport report = run_montecarlo(f.bench, f.tree, typical_model(), options);
   EXPECT_EQ(report.trials, 12);
   EXPECT_EQ(static_cast<int>(report.samples.size()), 12);
-  EXPECT_EQ(eval.sim_runs(), 12);
+  EXPECT_EQ(report.sim_runs, 12);
+  EXPECT_EQ(report.full_evals, 12);
+  EXPECT_EQ(report.incremental_evals, 0);
   EXPECT_EQ(report.benchmark, "mc_fixture");
 }
 

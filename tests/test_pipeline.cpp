@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cts/pipeline.h"
@@ -62,6 +63,36 @@ TEST(PipelineSpec, UnknownOrMalformedParamRejected) {
   EXPECT_THROW(Pipeline::from_spec("twsn:unit=abc"), PipelineError);
   EXPECT_THROW(Pipeline::from_spec("insert:max_ladder=0"), PipelineError);
   EXPECT_THROW(Pipeline::from_spec("dme:balance=sideways"), PipelineError);
+  // Values that would hang or crash a run are rejected up front, naming
+  // the parameter: a zero or negative candidate spacing never ends the
+  // insertion walk, and std::stod accepts "nan" and "inf".
+  const std::pair<const char*, const char*> bad_values[] = {
+      {"insert:spacing=0", "spacing"}, {"insert:spacing=-5", "spacing"},
+      {"twsz:safety=nan", "safety"},   {"twsz:safety=inf", "safety"},
+      {"twsn:unit=-inf", "unit"}};
+  for (const auto& [spec, param] : bad_values) {
+    try {
+      Pipeline::from_spec(spec);
+      ADD_FAILURE() << "expected PipelineError for " << spec;
+    } catch (const PipelineError& e) {
+      EXPECT_NE(std::string(e.what()).find(param), std::string::npos) << e.what();
+    }
+  }
+}
+
+// A wire width outside the benchmark's library is caught when DME runs
+// (the library is only known then), with an error naming the parameter.
+TEST(Pipeline, DmeWireWidthOutsideLibraryRejected) {
+  const Benchmark bench = generate_ispd_like(ispd09_suite_params(3));
+  FlowOptions options;
+  options.pipeline = "dme:wire_width=99,repair,insert,polarity";
+  try {
+    run_contango(bench, options);
+    FAIL() << "expected PipelineError";
+  } catch (const PipelineError& e) {
+    EXPECT_NE(std::string(e.what()).find("wire_width"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PipelineSpec, ContainsAndWithoutHelpers) {
@@ -103,19 +134,27 @@ TEST(Pipeline, PassTimingsCoverEveryPassInOrder) {
                                           "POLARITY", "TBSZ", "TWSZ",
                                           "TWSN", "BWSN"};
   ASSERT_EQ(r.pass_timings.size(), expected.size());
-  int total_sims = 0;
+  long total_sims = 0;
+  long total_stage_evals = 0;
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(r.pass_timings[i].name, expected[i]);
-    EXPECT_GE(r.pass_timings[i].wall_seconds, 0.0);
-    EXPECT_GE(r.pass_timings[i].cpu_seconds, 0.0);
-    EXPECT_GE(r.pass_timings[i].sim_runs, 0);
-    total_sims += r.pass_timings[i].sim_runs;
+    const PassTiming& p = r.pass_timings[i];
+    EXPECT_EQ(p.name, expected[i]);
+    EXPECT_GE(p.wall_seconds, 0.0);
+    EXPECT_GE(p.cpu_seconds, 0.0);
+    EXPECT_GE(p.sim_runs, 0);
+    // Every run is exactly one full or one incremental evaluation.
+    EXPECT_EQ(p.sim_runs, p.full_evals + p.incremental_evals) << p.name;
+    EXPECT_GE(p.batched_stage_evals, 0) << p.name;
+    total_sims += p.sim_runs;
+    total_stage_evals += p.batched_stage_evals;
   }
+  EXPECT_EQ(r.sim_runs, r.full_evals + r.incremental_evals);
   // Composite selection always evaluates at least one candidate.
   EXPECT_GT(r.pass_timings[2].sim_runs, 0) << "INSERT evaluates candidates";
   // Every simulation is attributed to a pass except the single INITIAL
   // snapshot evaluation, which belongs to the pipeline itself.
   EXPECT_EQ(total_sims + 1, r.sim_runs);
+  EXPECT_LE(total_stage_evals, r.batched_stage_evals);
 }
 
 // Satellite lock: repeated passes must snapshot under unique names.

@@ -56,7 +56,7 @@ TEST(Suite, EmptySuite) {
   const SuiteReport report = run_suite({});
   EXPECT_TRUE(report.runs.empty());
   EXPECT_TRUE(report.all_ok());
-  EXPECT_EQ(report.total_sim_runs(), 0);
+  EXPECT_EQ(report.totals().sim_runs, 0);
 }
 
 /// The acceptance test of the runner: a 4-thread run must be bit-identical
@@ -120,7 +120,7 @@ TEST(Suite, FourThreadsMatchSerialBitForBit) {
   }
 
   // The report renders through io/table and carries the aggregate counters.
-  EXPECT_EQ(serial.total_sim_runs(), parallel.total_sim_runs());
+  EXPECT_EQ(serial.totals().sim_runs, parallel.totals().sim_runs);
   EXPECT_FALSE(parallel.table().empty());
   EXPECT_GT(parallel.cpu_seconds(), 0.0);
 }
@@ -157,13 +157,22 @@ TEST(Suite, MonteCarloPassAddsColumnsAndStaysDeterministic) {
   // MC trials are CNE passes and count toward the suite's sim total.
   long flow_sims = 0;
   for (const SuiteRun& r : serial.runs) flow_sims += r.result.sim_runs;
-  EXPECT_EQ(serial.total_sim_runs(), flow_sims + 2 * 8);
+  EXPECT_EQ(serial.totals().sim_runs, flow_sims + 2 * 8);
 
   // The text table grows the MC columns only when MC ran.
   EXPECT_NE(serial.table().find("Yield%"), std::string::npos);
   EXPECT_NE(serial.table().find("MC p95"), std::string::npos);
   const SuiteReport plain = run_suite({suite[0]});
   EXPECT_EQ(plain.table().find("Yield%"), std::string::npos);
+}
+
+/// The four counter keys as the report writes them, in order.
+std::string counter_json(const WorkCounters& c, const std::string& prefix = "") {
+  return "\"" + prefix + "sim_runs\":" + std::to_string(c.sim_runs) + ",\"" +
+         prefix + "full_evals\":" + std::to_string(c.full_evals) + ",\"" +
+         prefix + "incremental_evals\":" + std::to_string(c.incremental_evals) +
+         ",\"" + prefix + "batched_stage_evals\":" +
+         std::to_string(c.batched_stage_evals);
 }
 
 TEST(Suite, WritesJsonReportToRequestedPath) {
@@ -186,6 +195,22 @@ TEST(Suite, WritesJsonReportToRequestedPath) {
   EXPECT_NE(json.find("\"benchmark\":"), std::string::npos);
   EXPECT_NE(json.find("\"mc\":"), std::string::npos);
   EXPECT_EQ(json.find("\"samples\""), std::string::npos);  // summaries only
+
+  // The work counters keep their key order in all three blocks: the suite
+  // totals (synthesis plus MC trials), each run and each pass.
+  ASSERT_TRUE(report.all_ok());
+  const WorkCounters totals = report.totals();
+  EXPECT_EQ(totals.sim_runs, report.runs[0].result.sim_runs + 4);
+  EXPECT_NE(json.find(counter_json(totals, "total_") + ",\"all_ok\":"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find(counter_json(report.runs[0].result) + ",\"clr_ps\":"),
+            std::string::npos)
+      << json;
+  ASSERT_FALSE(report.runs[0].result.pass_timings.empty());
+  for (const PassTiming& p : report.runs[0].result.pass_timings) {
+    EXPECT_NE(json.find(counter_json(p) + "}"), std::string::npos) << p.name;
+  }
 
   // Balanced containers: the writer closed everything it opened.
   long depth = 0;
