@@ -54,10 +54,12 @@ def ablation_report(args):
             else:
                 assert names == ['DME', 'REPAIR', 'INSERT', 'POLARITY',
                                  'TBSZ', 'TWSZ', 'TWSN', 'BWSN'], names
-            # Every simulation run is one full or one incremental evaluation.
+            # Every simulation run is one full or one incremental evaluation,
+            # and only an incremental one can stop early.
             for counted in [run] + passes:
                 assert counted['sim_runs'] == (counted['full_evals'] +
                                                counted['incremental_evals']), counted
+                assert 0 <= counted['early_rejects'] <= counted['incremental_evals'], counted
             for p in passes:
                 assert p['wall_seconds'] >= 0.0, p
                 assert p['cpu_seconds'] >= 0.0, p

@@ -1,9 +1,11 @@
 #include "analysis/evaluate.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -175,6 +177,56 @@ void aggregate_constraints(EvalResult& result, const Benchmark& bench) {
   }
 }
 
+/// Running lower bounds of a bounded sweep (RejectBound) over the sinks
+/// reached so far.
+class PartialBounds {
+ public:
+  /// Folds the sinks whose taps `stage` just fanned out into the bounds.
+  void reach(const Stage& stage, const EvalResult& result) {
+    const CornerTiming& first = result.corners.front();
+    const CornerTiming& last = result.corners.back();
+    for (const Tap& tap : stage.taps) {
+      if (!tap.is_sink) continue;
+      const auto i = static_cast<std::size_t>(tap.sink_index);
+      for (std::size_t t = 0; t < kNumTransitions; ++t) {
+        lo0_[t] = std::min(lo0_[t], first.sinks[t][i].latency);
+        hi0_[t] = std::max(hi0_[t], first.sinks[t][i].latency);
+        hi_last_ = std::max(hi_last_, last.sinks[t][i].latency);
+      }
+    }
+  }
+
+  /// True once the bounds prove the gate rejects the candidate.
+  bool rejects(const RejectBound& bound, const EvalResult& result) const {
+    Ps slew = 0.0;
+    for (const CornerTiming& corner : result.corners) {
+      slew = std::max(slew, corner.max_slew);
+    }
+    if (slew > bound.slew) return true;
+    // Every combination reaches the same sinks, so transition 0 at corner
+    // 0 tells whether any sink was reached yet.
+    if (hi0_[0] < lo0_[0]) return false;
+    const Ps skew = std::max(hi0_[0] - lo0_[0], hi0_[1] - lo0_[1]);
+    const Ps clr = result.corners.size() >= 2
+                       ? hi_last_ - std::min(lo0_[0], lo0_[1])
+                       : skew;
+    return skew >= bound.skew || clr >= bound.clr;
+  }
+
+ private:
+  static constexpr Ps kInf = std::numeric_limits<Ps>::infinity();
+  std::array<Ps, kNumTransitions> lo0_{kInf, kInf};    ///< corner 0
+  std::array<Ps, kNumTransitions> hi0_{-kInf, -kInf};  ///< corner 0
+  Ps hi_last_ = -kInf;  ///< last corner, either transition
+};
+
+/// What one sweep did.
+struct SweepOutcome {
+  long simulated = 0;       ///< stage simulations run
+  std::size_t visited = 0;  ///< slots visited
+  bool stopped = false;     ///< a RejectBound proved rejection
+};
+
 /// Optional timing cache of a sweep — IncrementalEvaluator's state.
 struct SweepCache {
   const RcNetlist& net;  ///< slot versions
@@ -183,7 +235,7 @@ struct SweepCache {
 };
 
 /// The one CNE propagation sweep.  Slots are visited once, parent before
-/// child (`topo`, or 0, 1, ..., slot_count - 1 when null), with one
+/// child (`order`, or 0, 1, ..., slot_count - 1 when null), with one
 /// propagation front per (corner x transition) combination: combo
 /// c = corner * kNumTransitions + transition owns the slice
 /// [c * slot_count, (c + 1) * slot_count) of `events`/`scheduled`.  At
@@ -199,16 +251,20 @@ struct SweepCache {
 /// cached call — same stage contents (version), same input direction
 /// (fixes r_drv via out_dir), bit-equal input slew; corner and transition
 /// are the entry's index.  A cached sweep takes no `stage_vdd_delta`.
-/// Returns the number of stage simulations run.
+///
+/// With `bound` the sweep checks the running bounds after every slot and
+/// stops once they prove rejection (RejectBound), leaving `result`
+/// partial and unaggregated.
 template <typename StageOf>
-long sweep(const Benchmark& bench, const TransientSimulator& sim,
-           Ps source_input_slew, std::size_t slot_count,
-           const std::vector<int>* topo, StageOf stage_of,
-           const NetlistSoa& soa, const std::vector<Volt>* stage_vdd_delta,
-           const SweepCache* cache, EvalScratch& scratch, EvalResult& result) {
+SweepOutcome sweep(const Benchmark& bench, const TransientSimulator& sim,
+                   Ps source_input_slew, std::size_t slot_count,
+                   const std::vector<int>* order, StageOf stage_of,
+                   const NetlistSoa& soa, const std::vector<Volt>* stage_vdd_delta,
+                   const SweepCache* cache, const RejectBound* bound,
+                   EvalScratch& scratch, EvalResult& result) {
   const std::size_t nc = bench.tech.corners.size();
   const std::size_t combos = nc * kNumTransitions;
-  const std::size_t num_visits = topo ? topo->size() : slot_count;
+  const std::size_t num_visits = order ? order->size() : slot_count;
 
   result.corners.resize(nc);
   for (std::size_t ci = 0; ci < nc; ++ci) {
@@ -221,7 +277,7 @@ long sweep(const Benchmark& bench, const TransientSimulator& sim,
   std::vector<StageEvent> events(combos * slot_count);
   std::vector<char> scheduled(combos * slot_count, 0);
   if (num_visits > 0) {
-    const auto root = static_cast<std::size_t>(topo ? topo->front() : 0);
+    const auto root = static_cast<std::size_t>(order ? order->front() : 0);
     for (std::size_t c = 0; c < combos; ++c) {
       events[c * slot_count + root] =
           StageEvent{0.0, source_input_slew,
@@ -233,9 +289,10 @@ long sweep(const Benchmark& bench, const TransientSimulator& sim,
     cache->timings.resize(slot_count);
   }
 
-  long simulated = 0;
+  SweepOutcome outcome;
+  PartialBounds partial;
   for (std::size_t i = 0; i < num_visits; ++i) {
-    const int slot = topo ? (*topo)[i] : static_cast<int>(i);
+    const int slot = order ? (*order)[i] : static_cast<int>(i);
     const auto s = static_cast<std::size_t>(slot);
     const Stage& stage = stage_of(slot);
     const std::size_t nt = stage.taps.size();
@@ -299,7 +356,7 @@ long sweep(const Benchmark& bench, const TransientSimulator& sim,
               row, row + static_cast<std::ptrdiff_t>(nt));
         }
       }
-      simulated += static_cast<long>(runs);
+      outcome.simulated += static_cast<long>(runs);
     }
 
     for (std::size_t ci = 0; ci < nc; ++ci) {
@@ -316,15 +373,62 @@ long sweep(const Benchmark& bench, const TransientSimulator& sim,
                      });
       }
     }
+
+    ++outcome.visited;
+    if (bound) {
+      partial.reach(stage, result);
+      if (partial.rejects(*bound, result)) {
+        outcome.stopped = true;
+        return outcome;
+      }
+    }
   }
 
   aggregate_corners(result, bench);
-  return simulated;
+  return outcome;
 }
 
 /// @}
 
+/// The reached sink of `corner` with the least (`latest` false) or the
+/// greatest latency over transitions [t_begin, t_end); -1 when none is
+/// reached.  The first one found wins ties.
+int extreme_sink(const CornerTiming& corner, int t_begin, int t_end, bool latest) {
+  int best = -1;
+  Ps best_latency = 0.0;
+  for (int t = t_begin; t < t_end; ++t) {
+    const std::vector<SinkTiming>& timings = corner.sinks[static_cast<std::size_t>(t)];
+    for (std::size_t i = 0; i < timings.size(); ++i) {
+      if (!timings[i].reached) continue;
+      const Ps latency = timings[i].latency;
+      if (best < 0 || (latest ? latency > best_latency : latency < best_latency)) {
+        best = static_cast<int>(i);
+        best_latency = latency;
+      }
+    }
+  }
+  return best;
+}
+
 }  // namespace
+
+std::vector<int> critical_sinks(const EvalResult& incumbent) {
+  std::vector<int> sinks;
+  const auto add = [&](int s) {
+    if (s >= 0 && std::find(sinks.begin(), sinks.end(), s) == sinks.end()) {
+      sinks.push_back(s);
+    }
+  };
+  if (incumbent.corners.empty()) return sinks;
+  for (int t = 0; t < kNumTransitions; ++t) {
+    add(extreme_sink(incumbent.corners.front(), t, t + 1, false));
+    add(extreme_sink(incumbent.corners.front(), t, t + 1, true));
+  }
+  if (incumbent.corners.size() >= 2) {
+    add(extreme_sink(incumbent.corners.back(), 0, kNumTransitions, true));
+  }
+  return sinks;
+}
 
 void aggregate_corners(EvalResult& result, const Benchmark& bench) {
   for (const CornerTiming& corner : result.corners) {
@@ -368,6 +472,7 @@ void WorkCounters::write_json(JsonWriter& w, const std::string& key_prefix) cons
   w.kv(key_prefix + "full_evals", full_evals);
   w.kv(key_prefix + "incremental_evals", incremental_evals);
   w.kv(key_prefix + "batched_stage_evals", batched_stage_evals);
+  w.kv(key_prefix + "early_rejects", early_rejects);
 }
 
 Evaluator::Evaluator(const Benchmark& bench, EvalOptions options)
@@ -392,7 +497,8 @@ EvalResult evaluate_netlist(const StagedNetlist& net, const NetlistSoa& soa,
         [&](int slot) -> const Stage& {
           return net.stages[static_cast<std::size_t>(slot)];
         },
-        soa, stage_vdd_delta, nullptr, scratch ? *scratch : local_scratch, result);
+        soa, stage_vdd_delta, nullptr, nullptr,
+        scratch ? *scratch : local_scratch, result);
   return result;
 }
 
@@ -428,31 +534,86 @@ void IncrementalEvaluator::bind(const ClockTree& tree) {
   timings_.clear();
 }
 
-EvalResult IncrementalEvaluator::evaluate() {
+EvalResult IncrementalEvaluator::evaluate() { return *run(nullptr); }
+
+std::optional<EvalResult> IncrementalEvaluator::evaluate(const RejectBound& bound) {
+  return run(&bound);
+}
+
+std::optional<EvalResult> IncrementalEvaluator::run(const RejectBound* reject) {
   if (!bound()) {
     throw std::logic_error("IncrementalEvaluator: evaluate before bind");
   }
   net_.refresh();
-
-  const Benchmark& bench = eval_.bench_;
-  const std::vector<int>& topo = net_.topo_slots();
-  const SweepCache cache{net_, elmore_, timings_};
-  EvalResult result;
-  const long simulated =
-      sweep(bench, eval_.sim_, eval_.options_.source_input_slew,
-            net_.slot_count(), &topo,
-            [&](int slot) -> const Stage& { return net_.stage(slot); },
-            net_.soa(), nullptr, &cache, scratch_, result);
-  account_capacitance(result, *tree_, bench, eval_.sink_caps_);
-
-  stage_sims_ += simulated;
-  stage_reuses_ += static_cast<long>(topo.size() * bench.tech.corners.size()) *
-                       kNumTransitions -
-                   simulated;
   ++eval_.counters_.sim_runs;
   ++eval_.counters_.incremental_evals;
-  eval_.counters_.batched_stage_evals += simulated;
+
+  const Benchmark& bench = eval_.bench_;
+  EvalResult result;
+  account_capacitance(result, *tree_, bench, eval_.sink_caps_);
+  if (reject && result.cap_violation && result.total_cap > reject->cap) {
+    ++eval_.counters_.early_rejects;
+    return std::nullopt;
+  }
+
+  const std::vector<int>* order = &net_.topo_slots();
+  if (reject && !reject->first_sinks.empty()) {
+    order_critical_first(reject->first_sinks);
+    order = &visit_order_;
+  }
+  const SweepCache cache{net_, elmore_, timings_};
+  const SweepOutcome outcome =
+      sweep(bench, eval_.sim_, eval_.options_.source_input_slew,
+            net_.slot_count(), order,
+            [&](int slot) -> const Stage& { return net_.stage(slot); },
+            net_.soa(), nullptr, &cache, reject, scratch_, result);
+
+  stage_sims_ += outcome.simulated;
+  stage_reuses_ += static_cast<long>(outcome.visited * bench.tech.corners.size()) *
+                       kNumTransitions -
+                   outcome.simulated;
+  eval_.counters_.batched_stage_evals += outcome.simulated;
+  if (outcome.stopped) {
+    ++eval_.counters_.early_rejects;
+    return std::nullopt;
+  }
   return result;
+}
+
+void IncrementalEvaluator::order_critical_first(const std::vector<int>& sinks) {
+  const std::vector<int>& topo = net_.topo_slots();
+  parent_.assign(net_.slot_count(), -1);
+  std::vector<int> sink_slot(sinks.size(), -1);
+  for (const int slot : topo) {
+    const Stage& stage = net_.stage(slot);
+    for (const int child : stage.downstream_stages) {
+      parent_[static_cast<std::size_t>(child)] = slot;
+    }
+    for (const Tap& tap : stage.taps) {
+      if (!tap.is_sink) continue;
+      for (std::size_t k = 0; k < sinks.size(); ++k) {
+        if (sinks[k] == tap.sink_index) sink_slot[k] = slot;
+      }
+    }
+  }
+
+  // parent_ doubles as the visited mark once a slot is queued.
+  constexpr int kQueued = -2;
+  visit_order_.clear();
+  for (const int leaf : sink_slot) {
+    const std::size_t path_start = visit_order_.size();
+    for (int slot = leaf; slot >= 0 && parent_[static_cast<std::size_t>(slot)] != kQueued;) {
+      const int up = parent_[static_cast<std::size_t>(slot)];
+      visit_order_.push_back(slot);
+      parent_[static_cast<std::size_t>(slot)] = kQueued;
+      slot = up;
+    }
+    std::reverse(visit_order_.begin() + static_cast<std::ptrdiff_t>(path_start),
+                 visit_order_.end());
+  }
+  for (const int slot : topo) {
+    if (parent_[static_cast<std::size_t>(slot)] != kQueued) visit_order_.push_back(slot);
+  }
 }
 
 }  // namespace contango

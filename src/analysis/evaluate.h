@@ -2,6 +2,8 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -153,6 +155,11 @@ struct WorkCounters {
   /// Finer-grained work: (stage x corner x transition) transient stage
   /// simulations.
   long batched_stage_evals = 0;
+  /// Incremental evaluations whose sweep stopped once the IVC gate's
+  /// rejection was certain (IncrementalEvaluator::evaluate(const
+  /// RejectBound&)).  Each is still one incremental evaluation, so
+  /// early_rejects <= incremental_evals.
+  long early_rejects = 0;
   /// Always 0; perfbench/ still reads it.
   static constexpr long scalar_stage_evals = 0;
 
@@ -161,12 +168,14 @@ struct WorkCounters {
     full_evals += o.full_evals;
     incremental_evals += o.incremental_evals;
     batched_stage_evals += o.batched_stage_evals;
+    early_rejects += o.early_rejects;
     return *this;
   }
 
   /// Writes the counters as `<key_prefix>sim_runs`, `<key_prefix>full_evals`,
-  /// `<key_prefix>incremental_evals`, `<key_prefix>batched_stage_evals`, in
-  /// that order, into the currently open JSON object.
+  /// `<key_prefix>incremental_evals`, `<key_prefix>batched_stage_evals`,
+  /// `<key_prefix>early_rejects`, in that order, into the currently open
+  /// JSON object.
   void write_json(JsonWriter& w, const std::string& key_prefix = "") const;
 };
 
@@ -177,6 +186,7 @@ inline WorkCounters operator-(const WorkCounters& after, const WorkCounters& bef
   d.full_evals = after.full_evals - before.full_evals;
   d.incremental_evals = after.incremental_evals - before.incremental_evals;
   d.batched_stage_evals = after.batched_stage_evals - before.batched_stage_evals;
+  d.early_rejects = after.early_rejects - before.early_rejects;
   return d;
 }
 
@@ -230,6 +240,43 @@ struct CachedTiming {
   std::vector<TapTiming> taps;
 };
 
+/// \brief Rejection bound of an early-decided CNE sweep: the IVC gate's
+/// verdict thresholds, taken from the incumbent (cts/pass.h).
+///
+/// As sinks are reached the sweep keeps running bounds: per-transition
+/// min/max latency at corner 0, the max latency at the last corner, and the
+/// worst tap slew so far.  Over any subset of the sinks `hi - lo` can only
+/// grow as more sinks arrive, and IEEE subtraction is monotone, so a
+/// partial skew (or CLR, `hi_last - lo_first`) is a lower bound on the
+/// final one; the running worst slew is a lower bound on `worst_slew`.  The
+/// sweep stops as soon as one of them proves the candidate fails the gate.
+/// Every threshold defaults to "never stop".
+struct RejectBound {
+  static constexpr double kNever = std::numeric_limits<double>::infinity();
+  /// Stop once the partial nominal skew is >= skew (the gate needs `<`).
+  Ps skew = kNever;
+  /// Stop once the partial CLR is >= clr.
+  Ps clr = kNever;
+  /// Stop once the running worst tap slew is > slew.
+  Ps slew = kNever;
+  /// Stop before any stage is simulated when the candidate violates the
+  /// cap limit with total_cap > cap (capacitance needs only the tree).
+  Ff cap = kNever;
+  /// Benchmark sinks whose root-to-sink stage paths are visited first
+  /// (critical_sinks() of the incumbent); every other live slot follows
+  /// in topo_slots() order.  Still parent before child, so the order
+  /// changes no value: each sink's latency comes from the same recurrence
+  /// and the aggregation loops by sink index.
+  std::vector<int> first_sinks;
+};
+
+/// The extreme-latency sinks of `incumbent`: per transition the earliest
+/// and the latest sink at corner 0, and the latest sink at the last corner
+/// — the sinks that set its skew and CLR, and so the ones most likely to
+/// prove a worse candidate's rejection early.  Deduplicated, in that
+/// order.
+std::vector<int> critical_sinks(const EvalResult& incumbent);
+
 /// \brief Incremental Clock-Network Evaluation over a persistent RcNetlist.
 ///
 /// Binds to one evolving ClockTree and keeps three layers of state alive
@@ -272,12 +319,33 @@ class IncrementalEvaluator {
   /// One CNE pass over the bound tree; see class comment.  \pre bound()
   EvalResult evaluate();
 
+  /// \brief The same pass, stopped as soon as `bound` proves rejection.
+  ///
+  /// Checks the cap bound before any stage is simulated, then sweeps the
+  /// slots on the paths to `bound.first_sinks` first and the rest in
+  /// topo_slots() order, stopping when a running bound crosses its
+  /// threshold (RejectBound).  Returns no result when the sweep stopped
+  /// early, so a partial result can never be accepted; otherwise the
+  /// result is bit-identical to evaluate().  Either way the call counts as
+  /// one incremental evaluation, plus one early reject when it stopped.
+  /// Cache entries stay keyed on their inputs, so slots the sweep never
+  /// reached keep their entries and the next evaluation stays exact.
+  /// \pre bound()
+  std::optional<EvalResult> evaluate(const RejectBound& bound);
+
   /// Stage simulations spent / avoided by cache hits so far —
-  /// (stage x corner x transition) units of transient work.
+  /// (stage x corner x transition) units of transient work.  Reuses count
+  /// only the slots a sweep visited.
   long stage_sims() const { return stage_sims_; }
   long stage_reuses() const { return stage_reuses_; }
 
  private:
+  std::optional<EvalResult> run(const RejectBound* reject);
+  /// Fills visit_order_: the live slots on the root-to-sink paths of
+  /// `sinks` (in that order, parents first), then every other live slot
+  /// in topo_slots() order.
+  void order_critical_first(const std::vector<int>& sinks);
+
   Evaluator& eval_;
   const ClockTree* tree_ = nullptr;
   RcNetlist net_;
@@ -287,6 +355,8 @@ class IncrementalEvaluator {
   long stage_sims_ = 0;
   long stage_reuses_ = 0;
   EvalScratch scratch_;
+  std::vector<int> visit_order_;  ///< order_critical_first() output
+  std::vector<int> parent_;       ///< order_critical_first() workspace
 };
 
 /// Effective driver resistance for a stage driver: applies supply-corner

@@ -1,5 +1,6 @@
 #include "cts/pass.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -32,18 +33,17 @@ FlowContext::FlowContext(const Benchmark& bench_in, const FlowOptions& options_i
           slew_free_cap(bench_in.tech, unit_, BufferInsertionOptions{}.slew_margin)),
       incremental_(eval) {}
 
-EvalResult FlowContext::evaluate_tree() {
+IncrementalEvaluator& FlowContext::engine() {
   // `tree` is a member object, so its address is stable across the moves
   // the construction passes and try_accept perform on its *contents*;
   // wholesale content replacements invalidate through note_tree_mutated()/
   // restore_saved().
   if (incremental_.bound_tree() != &tree) incremental_.bind(tree);
-  return incremental_.evaluate();
+  return incremental_;
 }
 
 TreeEditSession FlowContext::edit_session() {
-  if (incremental_.bound_tree() != &tree) incremental_.bind(tree);
-  return TreeEditSession(tree, &incremental_.netlist());
+  return TreeEditSession(tree, &engine().netlist());
 }
 
 void FlowContext::note_tree_mutated() {
@@ -68,7 +68,7 @@ void FlowContext::require_tree(const char* who) const {
 void FlowContext::ensure_initial() {
   if (has_current_) return;
   require_tree("clock-network evaluation");
-  current_ = evaluate_tree();
+  current_ = engine().evaluate();
   has_current_ = true;
   snapshot(unique_stage_name("INITIAL"));
 }
@@ -89,12 +89,28 @@ std::string FlowContext::unique_stage_name(const std::string& base) {
   return base + "#" + std::to_string(count);
 }
 
+namespace {
+
+/// How much worse than the incumbent a violated axis may get and still
+/// pass violation_ok() (absorbs evaluation round-off).
+constexpr double kViolationSlack = 1e-6;
+
+/// Improvement half of the IVC check: `objective` strictly improves.
+bool improves(const EvalResult& candidate, const EvalResult& incumbent,
+              PassObjective objective) {
+  return objective == PassObjective::kClr
+             ? candidate.clr < incumbent.clr
+             : candidate.nominal_skew < incumbent.nominal_skew;
+}
+
+}  // namespace
+
 bool FlowContext::violation_ok(const EvalResult& candidate,
                                const EvalResult& incumbent) {
   const bool slew_ok = !candidate.slew_violation ||
-                       candidate.worst_slew <= incumbent.worst_slew + 1e-6;
+                       candidate.worst_slew <= incumbent.worst_slew + kViolationSlack;
   const bool cap_ok = !candidate.cap_violation ||
-                      candidate.total_cap <= incumbent.total_cap + 1e-6;
+                      candidate.total_cap <= incumbent.total_cap + kViolationSlack;
   // Generalized violation vector: under a non-trivial constraint block a
   // candidate must keep every sink window and inter-domain bound no worse
   // than the incumbent's.  Identically 0 <= 0 for trivial blocks, so the
@@ -102,16 +118,35 @@ bool FlowContext::violation_ok(const EvalResult& candidate,
   const bool constraints_ok =
       candidate.constraints_met() ||
       candidate.constraint_violation() <=
-          incumbent.constraint_violation() + 1e-6;
+          incumbent.constraint_violation() + kViolationSlack;
   return slew_ok && cap_ok && constraints_ok;
+}
+
+RejectBound FlowContext::reject_bound(const EvalResult& incumbent,
+                                      PassObjective objective, Ps slew_limit) {
+  RejectBound bound;
+  // improves() needs a strict `<`, so reaching the incumbent's value
+  // already decides the verdict.
+  if (objective == PassObjective::kClr) {
+    bound.clr = incumbent.clr;
+  } else {
+    bound.skew = incumbent.nominal_skew;
+  }
+  // violation_ok() fails on slew exactly when worst_slew exceeds both the
+  // limit and the incumbent's widened worst slew, and on cap exactly when
+  // the candidate violates the cap limit with more than the incumbent's
+  // widened cap.
+  bound.slew = std::max(slew_limit, incumbent.worst_slew + kViolationSlack);
+  bound.cap = incumbent.total_cap + kViolationSlack;
+  // No constraint-vector bound: windows are relative to the earliest sink,
+  // which is only known once the sweep ends.
+  bound.first_sinks = critical_sinks(incumbent);
+  return bound;
 }
 
 bool FlowContext::try_accept(ClockTree&& candidate, PassObjective objective) {
   const EvalResult r = eval.evaluate(candidate);
-  const bool improves = objective == PassObjective::kClr
-                            ? r.clr < current_.clr
-                            : r.nominal_skew < current_.nominal_skew;
-  if (improves && violation_ok(r, current_)) {
+  if (improves(r, current_, objective) && violation_ok(r, current_)) {
     tree = std::move(candidate);
     current_ = r;
     note_tree_mutated();  // wholesale replacement: rebuild, don't diff
@@ -121,13 +156,12 @@ bool FlowContext::try_accept(ClockTree&& candidate, PassObjective objective) {
 }
 
 bool FlowContext::try_accept(TreeEditSession& session, PassObjective objective) {
-  const EvalResult r = evaluate_tree();
-  const bool improves = objective == PassObjective::kClr
-                            ? r.clr < current_.clr
-                            : r.nominal_skew < current_.nominal_skew;
-  if (improves && violation_ok(r, current_)) {
+  // No result means the sweep stopped once rejection was certain.
+  const std::optional<EvalResult> r =
+      engine().evaluate(reject_bound(current_, objective, bench.tech.slew_limit));
+  if (r && improves(*r, current_, objective) && violation_ok(*r, current_)) {
     session.commit();
-    current_ = r;
+    current_ = *r;
     return true;
   }
   session.rollback();  // O(dirty): undo the journal, re-mark the stages

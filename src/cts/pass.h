@@ -123,6 +123,13 @@ class FlowContext {
   static bool violation_ok(const EvalResult& candidate,
                            const EvalResult& incumbent);
 
+  /// The gate's verdict as thresholds on a partial evaluation: a candidate
+  /// that crosses one of them fails improvement on `objective` or
+  /// violation_ok() against `incumbent` (`slew_limit` is the benchmark's).
+  /// The edit-delta try_accept() evaluates under it.
+  static RejectBound reject_bound(const EvalResult& incumbent,
+                                  PassObjective objective, Ps slew_limit);
+
   /// \brief The central Improvement- & Violation-Checking gate
   /// (whole-tree-copy form).
   ///
@@ -141,7 +148,11 @@ class FlowContext {
   /// touched stages dirty).  Evaluates the edited tree incrementally,
   /// re-propagating only along dirty paths, and either
   /// commits the session (accept) or rolls its journal back (reject),
-  /// leaving the incumbent bit-identical to before the session.
+  /// leaving the incumbent bit-identical to before the session.  The
+  /// evaluation is early-decided: it checks the cap first, visits the
+  /// incumbent's extreme-latency sinks first, and stops once a partial
+  /// skew, CLR or slew proves the rejection (reject_bound()).  The verdict
+  /// is the one a full evaluation would give.
   /// \pre objective is kSkew or kClr, has_current(), session.can_rollback()
   bool try_accept(TreeEditSession& session, PassObjective objective);
 
@@ -172,9 +183,8 @@ class FlowContext {
                                       double)>& round_fn);
 
  private:
-  /// Evaluates `tree` through the incremental evaluator (one simulation
-  /// run), binding it on first use.
-  EvalResult evaluate_tree();
+  /// The incremental evaluator, bound to `tree` (binding it on first use).
+  IncrementalEvaluator& engine();
 
   EvalResult current_;
   bool has_current_ = false;

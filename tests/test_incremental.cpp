@@ -16,38 +16,10 @@
 #include "rctree/extract.h"
 #include "util/rng.h"
 
+#include "expect_eval.h"
+
 namespace contango {
 namespace {
-
-/// Every field of an EvalResult compared exactly (operator== on doubles:
-/// a single ULP of drift fails the test, which is the point).
-void expect_bit_identical(const EvalResult& a, const EvalResult& b,
-                          const std::string& what) {
-  SCOPED_TRACE(what);
-  EXPECT_EQ(a.nominal_skew, b.nominal_skew);
-  EXPECT_EQ(a.clr, b.clr);
-  EXPECT_EQ(a.max_latency, b.max_latency);
-  EXPECT_EQ(a.worst_slew, b.worst_slew);
-  EXPECT_EQ(a.total_cap, b.total_cap);
-  EXPECT_EQ(a.slew_violation, b.slew_violation);
-  EXPECT_EQ(a.cap_violation, b.cap_violation);
-  EXPECT_EQ(a.all_sinks_reached, b.all_sinks_reached);
-  ASSERT_EQ(a.corners.size(), b.corners.size());
-  for (std::size_t c = 0; c < a.corners.size(); ++c) {
-    EXPECT_EQ(a.corners[c].vdd, b.corners[c].vdd);
-    EXPECT_EQ(a.corners[c].max_slew, b.corners[c].max_slew);
-    for (int t = 0; t < kNumTransitions; ++t) {
-      const auto& sa = a.corners[c].sinks[static_cast<std::size_t>(t)];
-      const auto& sb = b.corners[c].sinks[static_cast<std::size_t>(t)];
-      ASSERT_EQ(sa.size(), sb.size());
-      for (std::size_t s = 0; s < sa.size(); ++s) {
-        EXPECT_EQ(sa[s].reached, sb[s].reached);
-        EXPECT_EQ(sa[s].latency, sb[s].latency);
-        EXPECT_EQ(sa[s].slew, sb[s].slew);
-      }
-    }
-  }
-}
 
 /// A realistic buffered tree: the construction half of the flow (no
 /// optimization passes, so no dependence on the engine under test).

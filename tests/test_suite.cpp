@@ -166,13 +166,14 @@ TEST(Suite, MonteCarloPassAddsColumnsAndStaysDeterministic) {
   EXPECT_EQ(plain.table().find("Yield%"), std::string::npos);
 }
 
-/// The four counter keys as the report writes them, in order.
+/// The five counter keys as the report writes them, in order.
 std::string counter_json(const WorkCounters& c, const std::string& prefix = "") {
   return "\"" + prefix + "sim_runs\":" + std::to_string(c.sim_runs) + ",\"" +
          prefix + "full_evals\":" + std::to_string(c.full_evals) + ",\"" +
          prefix + "incremental_evals\":" + std::to_string(c.incremental_evals) +
          ",\"" + prefix + "batched_stage_evals\":" +
-         std::to_string(c.batched_stage_evals);
+         std::to_string(c.batched_stage_evals) + ",\"" + prefix +
+         "early_rejects\":" + std::to_string(c.early_rejects);
 }
 
 TEST(Suite, WritesJsonReportToRequestedPath) {
