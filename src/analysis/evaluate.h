@@ -263,7 +263,7 @@ struct RejectBound {
   /// cap limit with total_cap > cap (capacitance needs only the tree).
   Ff cap = kNever;
   /// Benchmark sinks whose root-to-sink stage paths are visited first
-  /// (critical_sinks() of the incumbent); every other live slot follows
+  /// (critical_sinks() of the incumbent); every other slot follows
   /// in topo_slots() order.  Still parent before child, so the order
   /// changes no value: each sink's latency comes from the same recurrence
   /// and the aggregation loops by sink index.
@@ -341,8 +341,8 @@ class IncrementalEvaluator {
 
  private:
   std::optional<EvalResult> run(const RejectBound* reject);
-  /// Fills visit_order_: the live slots on the root-to-sink paths of
-  /// `sinks` (in that order, parents first), then every other live slot
+  /// Fills visit_order_: the slots on the root-to-sink paths of
+  /// `sinks` (in that order, parents first), then every other slot
   /// in topo_slots() order.
   void order_critical_first(const std::vector<int>& sinks);
 

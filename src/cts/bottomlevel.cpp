@@ -15,22 +15,9 @@ Ps calibrate_bottom_twn(const ClockTree& tree, Evaluator& eval,
   }
   if (samples.empty()) return 0.0;
 
-  ClockTree scratch = tree;
-  for (NodeId id : samples) scratch.node(id).snake += unit;
-  const EvalResult probed = eval.evaluate(scratch);
-
-  Ps twn = 0.0;
-  for (NodeId id : samples) {
-    const int sink = tree.node(id).sink_index;
-    for (std::size_t c = 0; c < baseline.corners.size(); ++c) {
-      for (int t = 0; t < kNumTransitions; ++t) {
-        const auto& b = baseline.corners[c].sinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(sink)];
-        const auto& p = probed.corners[c].sinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(sink)];
-        if (b.reached && p.reached) twn = std::max(twn, p.latency - b.latency);
-      }
-    }
-  }
-  return twn;
+  const std::vector<Ps> rise = probe_latency_rise(
+      tree, eval, baseline, samples, [unit](TreeNode& n) { n.snake += unit; });
+  return *std::max_element(rise.begin(), rise.end());
 }
 
 int bottom_level_round(TreeEditSession& session, const EdgeSlacks& slacks,

@@ -233,6 +233,19 @@ double parse_double_param(const Pass& pass, const std::string& key,
                       key + "=" + value + "' is not a valid finite number");
 }
 
+/// A step length.  At 0 the walk it drives never advances; below 0 the
+/// insertion walk never ends and snaking calibrates on negative snakes,
+/// then edits nothing.
+double parse_positive_param(const Pass& pass, const std::string& key,
+                            const std::string& value) {
+  const double parsed = parse_double_param(pass, key, value);
+  if (!(parsed > 0.0)) {
+    throw PipelineError("pass '" + std::string(pass.name()) + "': parameter '" +
+                        key + "=" + value + "' must be > 0");
+  }
+  return parsed;
+}
+
 /// Smallest-input-cap library cell, used for polarity-correcting inverters.
 CompositeBuffer smallest_inverter(const Technology& tech) {
   int best = 0;
@@ -348,14 +361,7 @@ class InsertPass : public Pass {
     } else if (key == "reserve") {
       reserve_ = parse_double_param(*this, key, value);
     } else if (key == "spacing") {
-      const double spacing = parse_double_param(*this, key, value);
-      // The candidate walk steps by the spacing: 0 never advances and a
-      // negative step never ends.
-      if (!(spacing > 0.0)) {
-        throw PipelineError("pass 'insert': parameter 'spacing=" + value +
-                            "' must be > 0");
-      }
-      insertion_.spacing = spacing;
+      insertion_.spacing = parse_positive_param(*this, key, value);
     } else {
       Pass::set_param(key, value);
     }
@@ -536,7 +542,7 @@ class TwsnPass : public Pass {
     if (key == "rounds") {
       rounds_ = static_cast<int>(parse_long_param(*this, key, value));
     } else if (key == "unit") {
-      unit_ = parse_double_param(*this, key, value);
+      unit_ = parse_positive_param(*this, key, value);
     } else if (key == "safety") {
       safety_ = parse_double_param(*this, key, value);
     } else {
@@ -576,7 +582,7 @@ class BwsnPass : public Pass {
     if (key == "rounds") {
       rounds_ = static_cast<int>(parse_long_param(*this, key, value));
     } else if (key == "unit") {
-      unit_ = parse_double_param(*this, key, value);
+      unit_ = parse_positive_param(*this, key, value);
     } else if (key == "safety") {
       safety_ = parse_double_param(*this, key, value);
     } else {

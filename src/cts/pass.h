@@ -153,7 +153,7 @@ class FlowContext {
   /// incumbent's extreme-latency sinks first, and stops once a partial
   /// skew, CLR or slew proves the rejection (reject_bound()).  The verdict
   /// is the one a full evaluation would give.
-  /// \pre objective is kSkew or kClr, has_current(), session.can_rollback()
+  /// \pre objective is kSkew or kClr, has_current()
   bool try_accept(TreeEditSession& session, PassObjective objective);
 
   /// Begins an edit session on `tree`, wired to the incremental engine.

@@ -167,4 +167,28 @@ std::vector<Ps> sink_slow_slacks(const ClockTree& tree, const EvalResult& eval,
   return out;
 }
 
+std::vector<Ps> probe_latency_rise(const ClockTree& tree, Evaluator& eval,
+                                   const EvalResult& baseline,
+                                   const std::vector<NodeId>& samples,
+                                   const std::function<void(TreeNode&)>& edit) {
+  ClockTree scratch = tree;
+  for (NodeId id : samples) edit(scratch.node(id));
+  const EvalResult probed = eval.evaluate(scratch);
+
+  std::vector<Ps> rise(samples.size(), 0.0);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    for (NodeId s : tree.downstream_sinks(samples[i])) {
+      const auto sink = static_cast<std::size_t>(tree.node(s).sink_index);
+      for (std::size_t c = 0; c < baseline.corners.size(); ++c) {
+        for (std::size_t t = 0; t < kNumTransitions; ++t) {
+          const SinkTiming& b = baseline.corners[c].sinks[t][sink];
+          const SinkTiming& p = probed.corners[c].sinks[t][sink];
+          if (b.reached && p.reached) rise[i] = std::max(rise[i], p.latency - b.latency);
+        }
+      }
+    }
+  }
+  return rise;
+}
+
 }  // namespace contango

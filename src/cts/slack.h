@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "analysis/evaluate.h"
@@ -52,5 +53,18 @@ EdgeSlacks compute_edge_slacks(const ClockTree& tree, const EvalResult& eval,
 /// transitions); used by bottom-level fine-tuning.
 std::vector<Ps> sink_slow_slacks(const ClockTree& tree, const EvalResult& eval,
                                  const SlackOptions& options = {});
+
+/// \brief The calibration probe of the refine passes (TWSZ, TWSN, BWSN).
+///
+/// Applies `edit` to every sample node of a scratch copy of `tree`,
+/// evaluates the copy cold (one full evaluation on `eval`), and returns
+/// per sample the worst latency rise, probed - baseline and at least 0,
+/// over the sample's downstream sinks (a sink sample is its own), every
+/// corner and both transitions.  Subtree-disjoint samples give each sink's
+/// rise one cause.
+std::vector<Ps> probe_latency_rise(const ClockTree& tree, Evaluator& eval,
+                                   const EvalResult& baseline,
+                                   const std::vector<NodeId>& samples,
+                                   const std::function<void(TreeNode&)>& edit);
 
 }  // namespace contango

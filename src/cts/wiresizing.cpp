@@ -43,26 +43,13 @@ Ps calibrate_tws(const ClockTree& tree, Evaluator& eval,
   }
   if (samples.empty()) return 0.0;
 
-  ClockTree scratch = tree;
-  for (NodeId id : samples) scratch.node(id).wire_width = 0;
-  const EvalResult probed = eval.evaluate(scratch);
-
   // For each sample, the worst latency increase among its downstream sinks
   // divided by the edge length; T_ws is the maximum across samples.
+  const std::vector<Ps> rise = probe_latency_rise(
+      tree, eval, baseline, samples, [](TreeNode& n) { n.wire_width = 0; });
   Ps tws = 0.0;
-  for (NodeId id : samples) {
-    Ps worst = 0.0;
-    for (NodeId s : tree.downstream_sinks(id)) {
-      const int sink = tree.node(s).sink_index;
-      for (std::size_t c = 0; c < baseline.corners.size(); ++c) {
-        for (int t = 0; t < kNumTransitions; ++t) {
-          const auto& b = baseline.corners[c].sinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(sink)];
-          const auto& p = probed.corners[c].sinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(sink)];
-          if (b.reached && p.reached) worst = std::max(worst, p.latency - b.latency);
-        }
-      }
-    }
-    tws = std::max(tws, worst / std::max(tree.edge_length(id), 1.0));
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    tws = std::max(tws, rise[i] / std::max(tree.edge_length(samples[i]), 1.0));
   }
   Log::debug("calibrate_tws: %zu samples, tws = %.5f ps/um", samples.size(), tws);
   return tws;

@@ -26,25 +26,9 @@ Ps calibrate_twn(const ClockTree& tree, Evaluator& eval,
   }
   if (samples.empty()) return 0.0;
 
-  ClockTree scratch = tree;
-  for (NodeId id : samples) scratch.node(id).snake += unit;
-  const EvalResult probed = eval.evaluate(scratch);
-
-  Ps twn = 0.0;
-  for (NodeId id : samples) {
-    Ps worst = 0.0;
-    for (NodeId s : tree.downstream_sinks(id)) {
-      const int sink = tree.node(s).sink_index;
-      for (std::size_t c = 0; c < baseline.corners.size(); ++c) {
-        for (int t = 0; t < kNumTransitions; ++t) {
-          const auto& b = baseline.corners[c].sinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(sink)];
-          const auto& p = probed.corners[c].sinks[static_cast<std::size_t>(t)][static_cast<std::size_t>(sink)];
-          if (b.reached && p.reached) worst = std::max(worst, p.latency - b.latency);
-        }
-      }
-    }
-    twn = std::max(twn, worst);
-  }
+  const std::vector<Ps> rise = probe_latency_rise(
+      tree, eval, baseline, samples, [unit](TreeNode& n) { n.snake += unit; });
+  const Ps twn = *std::max_element(rise.begin(), rise.end());
   Log::debug("calibrate_twn: %zu samples, twn = %.5f ps/unit(%.0f um)",
              samples.size(), twn, unit);
   return twn;

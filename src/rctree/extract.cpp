@@ -127,98 +127,48 @@ void RcNetlist::build(const ClockTree& tree, const Benchmark& bench,
 }
 
 int RcNetlist::slot_containing_edge(NodeId node) const {
-  if (node == tree_->root() || !tree_->live(node)) return -1;
-  // Walk up to the nearest driver the netlist already knows about.  A
-  // buffer missing from the map is a pending structural discovery: its
-  // stage will be freshly extracted anyway, so the edit is covered by
-  // whichever known ancestor stage re-extracts.
-  for (NodeId p = tree_->node(node).parent; p != kNoNode;
-       p = tree_->node(p).parent) {
-    if (p == tree_->root() || tree_->node(p).is_buffer()) {
-      const auto it = slot_of_driver_.find(p);
-      if (it != slot_of_driver_.end()) return it->second;
-      if (p == tree_->root()) return -1;
-    }
+  // The edge belongs to the stage of its nearest driver ancestor.
+  NodeId p = tree_->node(node).parent;
+  while (p != kNoNode && p != tree_->root() && !tree_->node(p).is_buffer()) {
+    p = tree_->node(p).parent;
   }
-  return -1;
+  const auto it = slot_of_driver_.find(p);
+  if (it == slot_of_driver_.end()) {
+    throw std::logic_error(
+        "RcNetlist: edited edge lies in no stage of the last build "
+        "(a structural edit needs mark_all_dirty())");
+  }
+  return it->second;
 }
 
 void RcNetlist::mark_edge_dirty(NodeId node) {
-  const int slot = slot_containing_edge(node);
-  if (slot >= 0) dirty_.push_back(slot);
+  if (full_rebuild_) return;  // the pending rebuild covers it
+  dirty_.push_back(slot_containing_edge(node));
 }
 
 void RcNetlist::mark_buffer_dirty(NodeId node) {
+  if (full_rebuild_) return;
   // Input pin cap lives in the parent stage; output cap + driver view in
   // the buffer's own stage.
   mark_edge_dirty(node);
   const auto it = slot_of_driver_.find(node);
-  if (it != slot_of_driver_.end()) dirty_.push_back(it->second);
+  if (it == slot_of_driver_.end()) {
+    throw std::logic_error("RcNetlist: resized buffer drives no stage of the last build");
+  }
+  dirty_.push_back(it->second);
 }
 
-void RcNetlist::mark_structural(NodeId node) {
-  // The stage owning the edge above `node` re-extracts; refresh() repairs
-  // the stage graph below it (new buffer taps open stages, vanished
-  // drivers are swept).
-  const int slot = slot_containing_edge(node);
-  if (slot >= 0) {
-    dirty_.push_back(slot);
-  } else {
-    // No known ancestor stage (e.g. first edit after the tree was rebuilt
-    // around us): fall back to a full rebuild.
-    full_rebuild_ = true;
-  }
-}
-
-int RcNetlist::allocate_slot(NodeId driver) {
-  int slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<int>(slots_.size());
-    slots_.push_back(std::make_unique<Slot>());
-  }
-  Slot& s = *slots_[static_cast<std::size_t>(slot)];
-  s.stage = Stage{};
-  s.stage.driver = driver;
-  s.version = next_version_++;
-  s.live = true;
-  slot_of_driver_[driver] = slot;
-  return slot;
-}
-
-void RcNetlist::free_slot(int slot) {
-  Slot& s = *slots_[static_cast<std::size_t>(slot)];
-  const auto it = slot_of_driver_.find(s.stage.driver);
-  if (it != slot_of_driver_.end() && it->second == slot) {
-    slot_of_driver_.erase(it);
-  }
-  s.stage = Stage{};
-  s.version = next_version_++;
-  s.live = false;
-  soa_.release_slot(slot);
-  free_slots_.push_back(slot);
-}
-
-void RcNetlist::extract_slot(int slot, std::vector<int>& worklist) {
-  Slot& s = *slots_[static_cast<std::size_t>(slot)];
-  const NodeId driver = s.stage.driver;
-  // A dirty slot whose driver vanished from the tree (e.g. resized, then
-  // removed, in one session) is left stale; the sweep frees it.
-  if (!tree_->live(driver) ||
-      (driver != tree_->root() && !tree_->node(driver).is_buffer())) {
-    return;
-  }
-
+void RcNetlist::extract_slot(int slot, bool building) {
+  const NodeId driver = slots_[static_cast<std::size_t>(slot)].stage.driver;
   Stage stage = make_driver_stage(*tree_, driver, *bench_);
-  std::vector<int> child_slots;
 
   // Pruned local BFS from the driver.  Edges are processed in exactly the
   // order a global breadth-first extraction would reach them (a BFS
   // restricted to one stage's nodes is the stage-local pruned BFS), so the
   // floating-point accumulation order — and therefore every cap/res value —
-  // matches extract_stages() bit for bit.
+  // matches extract_stages() bit for bit.  A full build opens a slot per
+  // buffer tap as it is reached, which numbers the slots breadth-first
+  // over the stage graph.
   struct Entry {
     NodeId node;
     int rc;
@@ -232,19 +182,28 @@ void RcNetlist::extract_slot(int slot, std::vector<int>& worklist) {
       if (kind == NodeKind::kInternal) {
         queue.push_back(Entry{c, end_rc});
       } else if (kind == NodeKind::kBuffer) {
-        const auto it = slot_of_driver_.find(c);
         int child;
-        if (it != slot_of_driver_.end()) {
-          child = it->second;  // unchanged subtree: reuse as-is
+        if (building) {
+          child = static_cast<int>(slots_.size());
+          slots_.emplace_back();
+          slots_.back().stage.driver = c;
+          slot_of_driver_[c] = child;
         } else {
-          child = allocate_slot(c);
-          worklist.push_back(child);  // new stage: extract this refresh
+          const auto it = slot_of_driver_.find(c);
+          child = it == slot_of_driver_.end() ? -1 : it->second;
         }
-        child_slots.push_back(child);
+        stage.downstream_stages.push_back(child);
       }
     }
   }
-  stage.downstream_stages = std::move(child_slots);
+
+  Slot& s = slots_[static_cast<std::size_t>(slot)];
+  if (!building && (stage.downstream_stages != s.stage.downstream_stages ||
+                    (driver != tree_->root() && !tree_->node(driver).is_buffer()))) {
+    throw std::logic_error(
+        "RcNetlist: a dirty stage's buffer taps changed since the last build "
+        "(a structural edit needs mark_all_dirty())");
+  }
   s.stage = std::move(stage);
   s.version = next_version_++;
   // Mirror the refreshed contents into the SoA arena: in place when the
@@ -253,62 +212,29 @@ void RcNetlist::extract_slot(int slot, std::vector<int>& worklist) {
   ++stages_extracted_;
 }
 
-void RcNetlist::sweep_and_order() {
-  topo_slots_.clear();
-  std::vector<char> reached(slots_.size(), 0);
-  if (!slots_.empty() && slots_[0]->live) {
-    topo_slots_.push_back(0);
-    reached[0] = 1;
-    for (std::size_t i = 0; i < topo_slots_.size(); ++i) {
-      const Stage& stage = slots_[static_cast<std::size_t>(topo_slots_[i])]->stage;
-      for (int child : stage.downstream_stages) {
-        if (!reached[static_cast<std::size_t>(child)]) {
-          reached[static_cast<std::size_t>(child)] = 1;
-          topo_slots_.push_back(child);
-        }
-      }
-    }
-  }
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i]->live && !reached[i]) free_slot(static_cast<int>(i));
-  }
-}
-
 void RcNetlist::refresh() {
   if (!built()) throw std::logic_error("RcNetlist: refresh before build");
-  if (!full_rebuild_ && dirty_.empty()) return;
-
-  std::vector<int> worklist;
   if (full_rebuild_) {
+    full_rebuild_ = false;
+    dirty_.clear();
     slots_.clear();
-    free_slots_.clear();
     slot_of_driver_.clear();
     topo_slots_.clear();
     soa_.clear();
-    if (tree_->empty()) {
-      dirty_.clear();
-      full_rebuild_ = false;
-      return;
+    if (tree_->empty()) return;
+    slots_.emplace_back();
+    slots_.back().stage.driver = tree_->root();
+    slot_of_driver_[tree_->root()] = 0;
+    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+      extract_slot(static_cast<int>(slot), true);
+      topo_slots_.push_back(static_cast<int>(slot));
     }
-    worklist.push_back(allocate_slot(tree_->root()));
-  } else {
-    worklist = dirty_;
+    return;
   }
-
-  std::vector<char> done;
-  for (std::size_t i = 0; i < worklist.size(); ++i) {
-    const int slot = worklist[i];
-    if (static_cast<std::size_t>(slot) >= done.size()) {
-      done.resize(slots_.size(), 0);  // allocate_slot keeps slot < slots_.size()
-    }
-    if (done[static_cast<std::size_t>(slot)]) continue;
-    done[static_cast<std::size_t>(slot)] = 1;
-    if (!slots_[static_cast<std::size_t>(slot)]->live) continue;
-    extract_slot(slot, worklist);
-  }
-  sweep_and_order();
+  std::sort(dirty_.begin(), dirty_.end());
+  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
+  for (const int slot : dirty_) extract_slot(slot, false);
   dirty_.clear();
-  full_rebuild_ = false;
 }
 
 // -------------------------------------------------------- TreeEditSession --
@@ -350,63 +276,7 @@ void TreeEditSession::set_buffer(NodeId node, const CompositeBuffer& buffer) {
   if (net_ && net_->built()) net_->mark_buffer_dirty(node);
 }
 
-void TreeEditSession::make_buffer(NodeId node, const CompositeBuffer& buffer) {
-  if (tree_.node(node).kind != NodeKind::kInternal) {
-    throw std::logic_error("TreeEditSession: make_buffer needs an internal node");
-  }
-  Record r;
-  r.kind = Record::Kind::kMakeBuffer;
-  r.node = node;
-  r.old_buffer = tree_.node(node).buffer;
-  tree_.make_buffer(node, buffer);
-  journal_.push_back(r);
-  if (net_ && net_->built()) net_->mark_structural(node);
-}
-
-void TreeEditSession::unmake_buffer(NodeId node) {
-  if (!tree_.node(node).is_buffer()) {
-    throw std::logic_error("TreeEditSession: unmake_buffer on a non-buffer node");
-  }
-  Record r;
-  r.kind = Record::Kind::kUnmakeBuffer;
-  r.node = node;
-  r.old_buffer = tree_.node(node).buffer;
-  tree_.node(node).kind = NodeKind::kInternal;
-  journal_.push_back(r);
-  if (net_ && net_->built()) net_->mark_structural(node);
-}
-
-NodeId TreeEditSession::insert_buffer_electrical(NodeId node, Um elec_distance,
-                                                 const CompositeBuffer& buffer) {
-  const NodeId inserted = tree_.insert_buffer_electrical(node, elec_distance, buffer);
-  Record r;
-  r.kind = Record::Kind::kInsert;
-  r.node = inserted;
-  journal_.push_back(r);
-  if (net_ && net_->built()) net_->mark_structural(inserted);
-  return inserted;
-}
-
-NodeId TreeEditSession::remove_buffer(NodeId node) {
-  if (!tree_.node(node).is_buffer()) {
-    throw std::logic_error("TreeEditSession: remove_buffer on a non-buffer node");
-  }
-  const NodeId child = tree_.splice_out(node);
-  Record r;
-  r.kind = Record::Kind::kRemove;
-  r.node = child;
-  journal_.push_back(r);
-  reversible_ = false;
-  if (net_ && net_->built()) net_->mark_structural(child);
-  return child;
-}
-
 void TreeEditSession::rollback() {
-  if (!reversible_) {
-    throw std::logic_error(
-        "TreeEditSession: cannot roll back a session containing "
-        "remove_buffer");
-  }
   const bool mark = net_ && net_->built();
   for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
     const Record& r = *it;
@@ -423,23 +293,6 @@ void TreeEditSession::rollback() {
         tree_.node(r.node).buffer = r.old_buffer;
         if (mark) net_->mark_buffer_dirty(r.node);
         break;
-      case Record::Kind::kMakeBuffer:
-        tree_.node(r.node).kind = NodeKind::kInternal;
-        tree_.node(r.node).buffer = r.old_buffer;
-        if (mark) net_->mark_structural(r.node);
-        break;
-      case Record::Kind::kUnmakeBuffer:
-        tree_.node(r.node).kind = NodeKind::kBuffer;
-        tree_.node(r.node).buffer = r.old_buffer;
-        if (mark) net_->mark_structural(r.node);
-        break;
-      case Record::Kind::kInsert: {
-        const NodeId child = tree_.splice_out(r.node);
-        if (mark) net_->mark_structural(child);
-        break;
-      }
-      case Record::Kind::kRemove:
-        throw std::logic_error("TreeEditSession: unreachable rollback");
     }
   }
   journal_.clear();

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -88,7 +87,7 @@ StagedNetlist extract_stages(const ClockTree& tree, const Benchmark& bench,
                              const ExtractOptions& options = {});
 
 /// \brief Persistent staged RC netlist that follows a ClockTree through
-/// edits.
+/// value edits.
 ///
 /// extract_stages() rebuilds the whole netlist from scratch — O(n) per
 /// call, which dominates the Improvement- & Violation-Checking loops where
@@ -97,19 +96,19 @@ StagedNetlist extract_stages(const ClockTree& tree, const Benchmark& bench,
 /// TreeEditSession) mark the stages an edit touches as *dirty*, and
 /// refresh() re-extracts exactly those stages from the bound tree.
 ///
-/// Supported edit notifications map tree edits to dirty-stage sets:
-///   * mark_edge_dirty(v)    — width / snake / reroute of the edge above v
-///                             dirties the one stage containing that edge;
+/// The stage graph is fixed between full builds.  The refine loops change
+/// only values (wire widths, snake lengths, buffer sizes); every
+/// structural rewrite replaces the tree and asks for a rebuild through
+/// mark_all_dirty().  Edit notifications map value edits to dirty slots:
+///   * mark_edge_dirty(v)    — width / snake of the edge above v dirties
+///                             the one stage containing that edge;
 ///   * mark_buffer_dirty(b)  — resizing buffer b dirties its parent stage
 ///                             (input-pin tap cap) and its own stage
-///                             (output cap + driver view);
-///   * mark_structural(v)    — a stage-boundary change around the edge
-///                             above v (buffer inserted/removed, internal
-///                             node converted to a buffer or back): the
-///                             containing stage is re-extracted and the
-///                             stage graph is repaired — new buffer taps
-///                             open fresh stages, vanished drivers are
-///                             swept.  No full rebuild.
+///                             (output cap + driver view).
+/// Both are no-ops while a full rebuild is pending, which covers them.  A
+/// structural change made without mark_all_dirty() is a caller bug:
+/// marking or refreshing a stage whose drivers no longer match the last
+/// build throws std::logic_error.
 ///
 /// Per-stage re-extraction replays exactly the arithmetic of
 /// extract_stages() in exactly the order a full extraction would visit the
@@ -119,9 +118,10 @@ StagedNetlist extract_stages(const ClockTree& tree, const Benchmark& bench,
 /// counterpart.  The incremental evaluator (analysis/evaluate.h) relies on
 /// this for bit-identical results.
 ///
-/// Stages live in stable *slots*; a slot's `version()` bumps every time its
-/// stage is re-extracted (or the slot is freed/reused), which is how
-/// downstream caches detect staleness without callbacks.
+/// A full build numbers the slots breadth-first over the stage graph, so
+/// slot ids are already parent-before-child.  A slot's `version()` bumps
+/// every time its stage is extracted, which is how downstream caches
+/// detect staleness without callbacks.
 class RcNetlist {
  public:
   RcNetlist() = default;
@@ -135,34 +135,34 @@ class RcNetlist {
   // --- edit notifications (the tree must already reflect the edit) ---
   void mark_edge_dirty(NodeId node);
   void mark_buffer_dirty(NodeId node);
-  void mark_structural(NodeId node);
   /// Unknown/global change: the next refresh() rebuilds everything.
   void mark_all_dirty() { full_rebuild_ = true; }
 
-  /// Re-extracts every dirty stage from the bound tree and repairs the
-  /// stage graph (new buffers open stages, dead drivers are swept).
-  /// No-op when nothing is dirty.
+  /// Rebuilds when mark_all_dirty() is pending, else re-extracts every
+  /// dirty stage from the bound tree.  No-op when nothing is dirty.
+  /// \throws std::logic_error when a dirty stage's buffer taps differ from
+  /// the last build (a structural edit without mark_all_dirty())
   void refresh();
 
   // --- read access (evaluator side) ---
   /// Slot of the clock-source stage (always 0 once built).
   int root_slot() const { return 0; }
-  /// Total slot count, live or free; valid slot ids are [0, slot_count()).
+  /// Slot count; valid slot ids are [0, slot_count()).
   std::size_t slot_count() const { return slots_.size(); }
-  bool slot_live(int slot) const { return slots_[static_cast<std::size_t>(slot)]->live; }
-  const Stage& stage(int slot) const { return slots_[static_cast<std::size_t>(slot)]->stage; }
+  const Stage& stage(int slot) const { return slots_[static_cast<std::size_t>(slot)].stage; }
   /// Monotonically increasing per-slot change stamp; never repeats, even
-  /// across free/reuse, so `version` equality certifies unchanged contents.
+  /// across rebuilds, so `version` equality certifies unchanged contents.
   std::uint64_t version(int slot) const {
-    return slots_[static_cast<std::size_t>(slot)]->version;
+    return slots_[static_cast<std::size_t>(slot)].version;
   }
-  /// Live slots in parent-before-child order (root stage first).
+  /// Slots in parent-before-child order (root stage first): 0, 1, ...,
+  /// slot_count() - 1, the breadth-first numbering of the last build.
   const std::vector<int>& topo_slots() const { return topo_slots_; }
-  /// Number of stages re-extracted by refresh() calls so far.
+  /// Number of stages extracted by refresh() calls so far.
   long stages_extracted() const { return stages_extracted_; }
 
-  /// Arena-backed SoA mirror of every live slot, maintained across
-  /// refresh(): a dirty stage's re-extraction rewrites its slice in place
+  /// Arena-backed SoA mirror of every slot, maintained across refresh():
+  /// a dirty stage's re-extraction rewrites its slice in place
   /// (rctree/soa.h).  Slot ids match this netlist's; the batched
   /// evaluation kernels read stages through here instead of the AoS
   /// Stage.  Slices are bit-identical to stage(slot) by construction.
@@ -172,21 +172,16 @@ class RcNetlist {
   struct Slot {
     Stage stage;
     std::uint64_t version = 0;
-    bool live = false;
   };
 
   int slot_containing_edge(NodeId node) const;
-  int allocate_slot(NodeId driver);
-  void free_slot(int slot);
-  void extract_slot(int slot, std::vector<int>& worklist);
-  void sweep_and_order();
+  void extract_slot(int slot, bool building);
 
   const ClockTree* tree_ = nullptr;
   const Benchmark* bench_ = nullptr;
   ExtractOptions options_;
 
-  std::vector<std::unique_ptr<Slot>> slots_;  ///< stable addresses for caches
-  std::vector<int> free_slots_;
+  std::vector<Slot> slots_;
   std::unordered_map<NodeId, int> slot_of_driver_;
   std::vector<int> topo_slots_;
 
@@ -194,10 +189,10 @@ class RcNetlist {
   bool full_rebuild_ = false;
   std::uint64_t next_version_ = 1;
   long stages_extracted_ = 0;
-  NetlistSoa soa_;  ///< SoA mirror of live slots (see soa())
+  NetlistSoa soa_;  ///< SoA mirror of the slots (see soa())
 };
 
-/// \brief Journaled edit transaction over a ClockTree, wired to an
+/// \brief Journaled value-edit transaction over a ClockTree, wired to an
 /// RcNetlist's dirty tracking.
 ///
 /// The refinement passes describe candidates as *edit deltas* against the
@@ -206,16 +201,10 @@ class RcNetlist {
 /// (undo every edit in reverse order, re-marking the touched stages dirty).
 /// Accept/rollback therefore costs O(dirty), not O(tree).
 ///
-/// Edit kinds and their rollback guarantees:
-///   * set_wire_width / add_snake / set_buffer / make_buffer /
-///     unmake_buffer — exact: rollback restores the tree bit-identically,
-///     so a rejected candidate leaves the incumbent untouched
-///     (SaveSolution semantics, matching the historical tree-copy path);
-///   * insert_buffer_electrical — structurally exact: rollback splices the
-///     inserted buffer back out, which restores the live topology but may
-///     perturb the split edge's route/snake partition at ULP level;
-///   * remove_buffer — irreversible: a session containing one cannot be
-///     rolled back (rollback() throws std::logic_error).
+/// Every edit changes a value, never the tree's structure, and rollback
+/// restores the tree bit-identically, so a rejected candidate leaves the
+/// incumbent untouched (SaveSolution semantics).  Structural rewrites go
+/// through whole-tree replacement instead (FlowContext::note_tree_mutated).
 ///
 /// The session does not roll back on destruction; an abandoned session
 /// behaves like commit().
@@ -235,42 +224,20 @@ class TreeEditSession {
   void add_snake(NodeId node, Um delta);
   /// Replaces the composite of buffer `node` (resize / retype).
   void set_buffer(NodeId node, const CompositeBuffer& buffer);
-  /// Converts a non-sink, non-root node into a buffer (polarity flip of
-  /// its subtree).
-  void make_buffer(NodeId node, const CompositeBuffer& buffer);
-  /// Converts buffer `node` back into a plain internal node.
-  void unmake_buffer(NodeId node);
-  /// Inserts a buffer on the edge above `node` at electrical arc position
-  /// `elec_distance`; returns the new buffer node.
-  NodeId insert_buffer_electrical(NodeId node, Um elec_distance,
-                                  const CompositeBuffer& buffer);
-  /// Splices buffer `node` out of the tree; returns the child that
-  /// absorbed its edge.  Irreversible (see class comment).
-  NodeId remove_buffer(NodeId node);
 
   /// Number of edits journaled so far.
   int edit_count() const { return static_cast<int>(journal_.size()); }
-  /// False once the session contains an irreversible edit.
-  bool can_rollback() const { return reversible_; }
 
   /// Keeps the edits: clears the journal (dirty marks stay pending in the
   /// netlist until its next refresh).
   void commit() { journal_.clear(); }
   /// Undoes every journaled edit in reverse order, re-marking the touched
-  /// stages dirty.  \throws std::logic_error when !can_rollback()
+  /// stages dirty.
   void rollback();
 
  private:
   struct Record {
-    enum class Kind {
-      kWireWidth,
-      kSnake,
-      kBuffer,
-      kMakeBuffer,
-      kUnmakeBuffer,
-      kInsert,
-      kRemove,
-    };
+    enum class Kind { kWireWidth, kSnake, kBuffer };
     Kind kind;
     NodeId node = kNoNode;
     int old_width = 0;
@@ -281,7 +248,6 @@ class TreeEditSession {
   ClockTree& tree_;
   RcNetlist* net_ = nullptr;
   std::vector<Record> journal_;
-  bool reversible_ = true;
 };
 
 }  // namespace contango

@@ -153,14 +153,6 @@ void NetlistSoa::write_slot(int slot, const Stage& stage) {
   }
 }
 
-void NetlistSoa::release_slot(int slot) {
-  if (!has_slot(slot)) return;
-  SlotRef& r = slots_[static_cast<std::size_t>(slot)];
-  recycle_nodes(r.node_off, r.node_cap);
-  recycle_taps(r.tap_off, r.tap_cap);
-  r = SlotRef{};
-}
-
 void NetlistSoa::clear() {
   slots_.clear();
   cap_.clear();

@@ -1,9 +1,10 @@
-// Incremental-vs-full evaluation equivalence: the RcNetlist dirty-subtree
+// Incremental-vs-full evaluation equivalence: the RcNetlist dirty-stage
 // engine plus the cached Elmore/transient propagation must be
 // bit-identical to a from-scratch extract+evaluate on the same tree, for
-// every edit kind the IVC loops use (wire resize, snake, buffer resize,
-// polarity flip via make/unmake, buffer insert/remove) and after
-// rollbacks.  Locked over every registered scenario family.
+// every edit kind the IVC loops use (wire resize, snake, buffer resize)
+// and after rollbacks.  Locked over every registered scenario family.
+// Structural rewrites replace the tree and rebuild the netlist; the
+// RcNetlist tests pin that contract.
 
 #include <gtest/gtest.h>
 
@@ -36,12 +37,10 @@ std::vector<NodeId> live_edges(const ClockTree& tree) {
   return edges;
 }
 
-std::vector<NodeId> buffers_with_one_child(const ClockTree& tree) {
+std::vector<NodeId> buffer_nodes(const ClockTree& tree) {
   std::vector<NodeId> out;
   for (NodeId id : tree.topological_order()) {
-    if (tree.node(id).is_buffer() && tree.node(id).children.size() == 1) {
-      out.push_back(id);
-    }
+    if (tree.node(id).is_buffer()) out.push_back(id);
   }
   return out;
 }
@@ -89,11 +88,9 @@ TEST(Incremental, EveryEditKindStaysBitIdentical) {
   (void)inc.evaluate();  // warm the caches
 
   const std::vector<NodeId> edges = live_edges(tree);
-  const std::vector<NodeId> buffers = buffers_with_one_child(tree);
-  const std::vector<NodeId> internals = internal_nodes(tree);
+  const std::vector<NodeId> buffers = buffer_nodes(tree);
   ASSERT_FALSE(edges.empty());
   ASSERT_FALSE(buffers.empty());
-  ASSERT_FALSE(internals.empty());
 
   TreeEditSession session(tree, &inc.netlist());
 
@@ -108,28 +105,8 @@ TEST(Incremental, EveryEditKindStaysBitIdentical) {
                      CompositeBuffer{old.inverter_type, old.count + 2});
   expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree), "buffer resize");
 
-  session.make_buffer(internals.front(), CompositeBuffer{0, 2});
-  expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree),
-                       "polarity flip (make_buffer)");
-
-  const NodeId inserted =
-      session.insert_buffer_electrical(edges.back(),
-                                       tree.edge_length(edges.back()) / 3.0,
-                                       CompositeBuffer{0, 4});
-  expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree), "insert buffer");
-  EXPECT_TRUE(tree.node(inserted).is_buffer());
-
-  session.unmake_buffer(inserted);
-  expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree),
-                       "polarity flip back (unmake_buffer)");
-
-  // remove_buffer makes the session irreversible but must stay exact.
-  session.remove_buffer(buffers.back());
-  EXPECT_FALSE(session.can_rollback());
-  expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree), "remove buffer");
-  EXPECT_THROW(session.rollback(), std::logic_error);
-  session.commit();
-  tree.validate();
+  session.rollback();
+  expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree), "rollback");
 }
 
 TEST(Incremental, RollbackRestoresTheIncumbentExactly) {
@@ -143,7 +120,7 @@ TEST(Incremental, RollbackRestoresTheIncumbentExactly) {
   const EvalResult incumbent = inc.evaluate();
 
   const std::vector<NodeId> edges = live_edges(tree);
-  const std::vector<NodeId> buffers = buffers_with_one_child(tree);
+  const std::vector<NodeId> buffers = buffer_nodes(tree);
   ASSERT_FALSE(buffers.empty());
 
   // A candidate out of exactly the edit kinds the refine loops use: its
@@ -185,51 +162,30 @@ TEST(Incremental, RandomizedEditFuzzOverFamilies) {
       SCOPED_TRACE("step " + std::to_string(step));
       TreeEditSession session(tree, &inc.netlist());
       const std::vector<NodeId> edges = live_edges(tree);
-      const std::vector<NodeId> buffers = buffers_with_one_child(tree);
+      const std::vector<NodeId> buffers = buffer_nodes(tree);
       const auto pick = [&](const std::vector<NodeId>& v) {
         return v[static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1))];
       };
 
-      const long kind = rng.uniform_int(0, 5);
-      int edits = 0;
-      switch (kind) {
+      switch (rng.uniform_int(0, 3)) {
         case 0: {
           const NodeId e = pick(edges);
           session.set_wire_width(e, tree.node(e).wire_width == 0 ? 1 : 0);
-          ++edits;
           break;
         }
         case 1:
           session.add_snake(pick(edges), rng.uniform(5.0, 80.0));
-          ++edits;
           break;
-        case 2:
-          if (!buffers.empty()) {
-            const NodeId b = pick(buffers);
-            const CompositeBuffer old = tree.node(b).buffer;
-            const int delta = rng.uniform_int(0, 1) ? 1 : -1;
-            session.set_buffer(
-                b, CompositeBuffer{old.inverter_type,
-                                   std::max(1, old.count + 2 * delta)});
-            ++edits;
-          }
-          break;
-        case 3: {
-          const NodeId e = pick(edges);
-          session.insert_buffer_electrical(
-              e, tree.edge_length(e) * rng.uniform(0.2, 0.8),
-              CompositeBuffer{0, 2});
-          ++edits;
+        case 2: {
+          const NodeId b = pick(buffers);
+          const CompositeBuffer old = tree.node(b).buffer;
+          const int delta = rng.uniform_int(0, 1) ? 1 : -1;
+          session.set_buffer(
+              b, CompositeBuffer{old.inverter_type, std::max(1, old.count + 2 * delta)});
           break;
         }
-        case 4:
-          if (buffers.size() > 3) {  // keep some stages around
-            session.remove_buffer(pick(buffers));
-            ++edits;
-          }
-          break;
-        default: {
+        default:
           // A rejected multi-edit candidate: edit, evaluate, roll back.
           session.set_wire_width(pick(edges), 0);
           session.add_snake(pick(edges), 25.0);
@@ -237,9 +193,8 @@ TEST(Incremental, RandomizedEditFuzzOverFamilies) {
           session.rollback();
           expect_bit_identical(inc.evaluate(), last, "post-rollback incumbent");
           break;
-        }
       }
-      if (edits > 0) session.commit();
+      session.commit();
       tree.validate();
       last = inc.evaluate();
       expect_bit_identical(last, full_eval.evaluate(tree), "incremental vs full");
@@ -248,6 +203,67 @@ TEST(Incremental, RandomizedEditFuzzOverFamilies) {
     EXPECT_EQ(inc_owner.counters().sim_runs,
               inc_owner.counters().full_evals + inc_owner.counters().incremental_evals);
   }
+}
+
+TEST(RcNetlist, StructuralEditWithoutRebuildThrows) {
+  const Benchmark bench = make_scenario("ring", 3, 24);
+  ClockTree tree = construction_tree(bench);
+
+  Evaluator full_eval(bench);
+  Evaluator inc_owner(bench);
+  IncrementalEvaluator inc(inc_owner);
+  inc.bind(tree);
+  (void)inc.evaluate();
+
+  // A new buffer tap splits a stage: the stage graph of the last build no
+  // longer matches the tree, and only a rebuild may change it.
+  const std::vector<NodeId> internals = internal_nodes(tree);
+  ASSERT_FALSE(internals.empty());
+  tree.make_buffer(internals.front(), CompositeBuffer{0, 2});
+  EXPECT_THROW(
+      {
+        inc.netlist().mark_edge_dirty(internals.front());
+        (void)inc.evaluate();
+      },
+      std::logic_error);
+
+  inc.invalidate_all();
+  expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree), "after rebuild");
+}
+
+TEST(RcNetlist, EditsWhileRebuildPendingMatchCold) {
+  const Benchmark bench = make_scenario("clustered", 7, 24);
+  ClockTree tree = Pipeline::from_spec("dme,repair,insert").run(bench).tree;
+
+  Evaluator full_eval(bench);
+  Evaluator inc_owner(bench);
+  IncrementalEvaluator inc(inc_owner);
+  inc.bind(tree);
+  (void)inc.evaluate();
+
+  // Wholesale replacement by a tree with buffers the last build never saw
+  // (the polarity pass adds them), then edits inside their stages before
+  // the next evaluation.  The pending rebuild covers the edits, so their
+  // dirty marks must not consult the stale stage graph.
+  const ClockTree before = tree;
+  tree = construction_tree(bench);
+  inc.invalidate_all();
+  std::vector<NodeId> fresh;
+  for (const NodeId b : buffer_nodes(tree)) {
+    if (b >= before.size() || !before.node(b).is_buffer()) fresh.push_back(b);
+  }
+  ASSERT_FALSE(fresh.empty());
+
+  TreeEditSession session(tree, &inc.netlist());
+  const CompositeBuffer old = tree.node(fresh.front()).buffer;
+  session.set_buffer(fresh.front(), CompositeBuffer{old.inverter_type, old.count + 2});
+  const NodeId below = tree.node(fresh.back()).children.front();
+  session.add_snake(below, 40.0);
+  session.set_wire_width(below, 0);
+  expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree), "edits after replacement");
+
+  session.rollback();
+  expect_bit_identical(inc.evaluate(), full_eval.evaluate(tree), "rollback after rebuild");
 }
 
 TEST(Incremental, FlowUsesTheEngineAndCountersReconcile) {

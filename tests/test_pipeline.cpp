@@ -63,13 +63,16 @@ TEST(PipelineSpec, UnknownOrMalformedParamRejected) {
   EXPECT_THROW(Pipeline::from_spec("twsn:unit=abc"), PipelineError);
   EXPECT_THROW(Pipeline::from_spec("insert:max_ladder=0"), PipelineError);
   EXPECT_THROW(Pipeline::from_spec("dme:balance=sideways"), PipelineError);
-  // Values that would hang or crash a run are rejected up front, naming
-  // the parameter: a zero or negative candidate spacing never ends the
-  // insertion walk, and std::stod accepts "nan" and "inf".
+  // Values that would hang, crash or silently void a run are rejected up
+  // front, naming the parameter: a zero or negative candidate spacing
+  // never ends the insertion walk, a snaking unit <= 0 calibrates on
+  // negative snakes and then edits nothing, and std::stod accepts "nan"
+  // and "inf".
   const std::pair<const char*, const char*> bad_values[] = {
       {"insert:spacing=0", "spacing"}, {"insert:spacing=-5", "spacing"},
       {"twsz:safety=nan", "safety"},   {"twsz:safety=inf", "safety"},
-      {"twsn:unit=-inf", "unit"}};
+      {"twsn:unit=-inf", "unit"},      {"twsn:unit=-20", "unit"},
+      {"twsn:unit=0", "unit"},         {"bwsn:unit=-5", "unit"}};
   for (const auto& [spec, param] : bad_values) {
     try {
       Pipeline::from_spec(spec);
