@@ -147,13 +147,12 @@ int equalize_stage_counts(ClockTree& tree, const Benchmark& bench,
                           const CompositeBuffer& buffer) {
   const ObstacleSet& obs = bench.obstacles();
   const std::vector<NodeId> topo = tree.topological_order();
+  const std::vector<int> depth = tree.buffer_depths();
 
   // Buffer depth per sink; the deepest path sets the target.
   int target = 0;
   for (NodeId id : topo) {
-    if (tree.node(id).is_sink()) {
-      target = std::max(target, tree.inversion_parity(id));
-    }
+    if (tree.node(id).is_sink()) target = std::max(target, depth[id]);
   }
 
   // min_deficit[v]: stages every sink below v still needs; paying it on the
@@ -164,7 +163,7 @@ int equalize_stage_counts(ClockTree& tree, const Benchmark& bench,
     const NodeId id = *it;
     const TreeNode& n = tree.node(id);
     if (n.is_sink()) {
-      min_deficit[id] = target - tree.inversion_parity(id);
+      min_deficit[id] = target - depth[id];
     }
     if (id != tree.root() && min_deficit[id] != kNone) {
       min_deficit[n.parent] = std::min(min_deficit[n.parent], min_deficit[id]);

@@ -246,6 +246,21 @@ double parse_positive_param(const Pass& pass, const std::string& key,
   return parsed;
 }
 
+/// A count in [min, INT_MAX].  Zero refine rounds would spend the pass's
+/// calibration sim on nothing, a negative sizing count means nothing, and
+/// a value past int would wrap.
+int parse_count_param(const Pass& pass, const std::string& key,
+                      const std::string& value, int min) {
+  const long parsed = parse_long_param(pass, key, value);
+  if (parsed < min || parsed > std::numeric_limits<int>::max()) {
+    throw PipelineError("pass '" + std::string(pass.name()) + "': parameter '" +
+                        key + "=" + value + "' must be an integer in [" +
+                        std::to_string(min) + ", " +
+                        std::to_string(std::numeric_limits<int>::max()) + "]");
+  }
+  return static_cast<int>(parsed);
+}
+
 /// Smallest-input-cap library cell, used for polarity-correcting inverters.
 CompositeBuffer smallest_inverter(const Technology& tech) {
   int best = 0;
@@ -352,12 +367,7 @@ class InsertPass : public Pass {
 
   void set_param(const std::string& key, const std::string& value) override {
     if (key == "max_ladder") {
-      const long ladder = parse_long_param(*this, key, value);
-      if (ladder < 1) {
-        throw PipelineError("pass 'insert': parameter 'max_ladder=" + value +
-                            "' must be >= 1");
-      }
-      max_ladder_ = static_cast<int>(ladder);
+      max_ladder_ = parse_count_param(*this, key, value, 1);
     } else if (key == "reserve") {
       reserve_ = parse_double_param(*this, key, value);
     } else if (key == "spacing") {
@@ -389,14 +399,16 @@ class InsertPass : public Pass {
       // per-path supply sensitivity uniform.
       equalize_stage_counts(candidate, ctx.bench, composite);
       const Ff cap = candidate.total_cap(ctx.bench.tech, sink_caps);
-      if (have_candidate && cap > cap_budget) break;  // stronger only costs more
-      const EvalResult r = ctx.eval.evaluate(candidate);
-      const bool fits = cap <= cap_budget && !r.slew_violation;
-      if (!have_candidate || fits) {
-        buffered = std::move(candidate);
-        ctx.result.buffer = composite;
-        have_candidate = true;
+      // The first candidate is kept whatever its verdict, so only a later
+      // one within the budget is simulated: its slew decides whether it
+      // replaces the incumbent.
+      if (have_candidate) {
+        if (cap > cap_budget) break;  // stronger only costs more
+        if (ctx.eval.evaluate(candidate).slew_violation) continue;
       }
+      buffered = std::move(candidate);
+      ctx.result.buffer = composite;
+      have_candidate = true;
       if (cap > cap_budget) break;
     }
     ctx.tree = std::move(buffered);
@@ -450,9 +462,9 @@ class TbszPass : public Pass {
 
   void set_param(const std::string& key, const std::string& value) override {
     if (key == "iters") {
-      iters_ = static_cast<int>(parse_long_param(*this, key, value));
+      iters_ = parse_count_param(*this, key, value, 0);
     } else if (key == "levels") {
-      levels_ = static_cast<int>(parse_long_param(*this, key, value));
+      levels_ = parse_count_param(*this, key, value, 0);
     } else {
       Pass::set_param(key, value);
     }
@@ -505,7 +517,7 @@ class TwszPass : public Pass {
 
   void set_param(const std::string& key, const std::string& value) override {
     if (key == "rounds") {
-      rounds_ = static_cast<int>(parse_long_param(*this, key, value));
+      rounds_ = parse_count_param(*this, key, value, 1);
     } else if (key == "safety") {
       safety_ = parse_double_param(*this, key, value);
     } else {
@@ -540,7 +552,7 @@ class TwsnPass : public Pass {
 
   void set_param(const std::string& key, const std::string& value) override {
     if (key == "rounds") {
-      rounds_ = static_cast<int>(parse_long_param(*this, key, value));
+      rounds_ = parse_count_param(*this, key, value, 1);
     } else if (key == "unit") {
       unit_ = parse_positive_param(*this, key, value);
     } else if (key == "safety") {
@@ -580,7 +592,7 @@ class BwsnPass : public Pass {
 
   void set_param(const std::string& key, const std::string& value) override {
     if (key == "rounds") {
-      rounds_ = static_cast<int>(parse_long_param(*this, key, value));
+      rounds_ = parse_count_param(*this, key, value, 1);
     } else if (key == "unit") {
       unit_ = parse_positive_param(*this, key, value);
     } else if (key == "safety") {

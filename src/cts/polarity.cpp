@@ -14,9 +14,11 @@ constexpr int kMixed = -1;
 }  // namespace
 
 int count_inverted_sinks(const ClockTree& tree) {
+  // Detached tombstones are never sinks, so every sink is live.
+  const std::vector<int> depth = tree.buffer_depths();
   int count = 0;
-  for (NodeId id : tree.topological_order()) {
-    if (tree.node(id).is_sink() && tree.inversion_parity(id) % 2 == 1) ++count;
+  for (NodeId id = 0; id < tree.size(); ++id) {
+    if (tree.node(id).is_sink() && depth[id] % 2 == 1) ++count;
   }
   return count;
 }
@@ -29,6 +31,7 @@ PolarityFix correct_polarity(ClockTree& tree, const Benchmark& bench,
   if (fix.inverted_sinks == 0) return fix;
 
   const std::vector<NodeId> topo = tree.topological_order();
+  const std::vector<int> depth = tree.buffer_depths();
 
   // Bottom-up uniformity: children appear after parents in topo order.
   std::vector<int> uniform(tree.size(), kMixed);
@@ -37,7 +40,7 @@ PolarityFix correct_polarity(ClockTree& tree, const Benchmark& bench,
     const NodeId id = *it;
     const TreeNode& n = tree.node(id);
     if (n.is_sink()) {
-      uniform[id] = tree.inversion_parity(id) % 2;
+      uniform[id] = depth[id] % 2;
       has_sinks[id] = 1;
       continue;
     }

@@ -256,12 +256,13 @@ std::vector<NodeId> ClockTree::downstream_sinks(NodeId id) const {
   return sinks;
 }
 
-int ClockTree::inversion_parity(NodeId id) const {
-  int parity = 0;
-  for (NodeId n = id; n != kNoNode; n = nodes_[n].parent) {
-    if (nodes_[n].is_buffer()) ++parity;
+std::vector<int> ClockTree::buffer_depths() const {
+  std::vector<int> depth(nodes_.size(), 0);
+  for (NodeId id : topological_order()) {
+    const TreeNode& n = nodes_[id];
+    depth[id] = (id == root_ ? 0 : depth[n.parent]) + (n.is_buffer() ? 1 : 0);
   }
-  return parity;
+  return depth;
 }
 
 Um ClockTree::path_length(NodeId id) const {

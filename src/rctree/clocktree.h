@@ -145,9 +145,11 @@ class ClockTree {
   /// Sink nodes downstream of `id` (including `id` itself if a sink).
   std::vector<NodeId> downstream_sinks(NodeId id) const;
 
-  /// Number of inverting stages on the path from the root to `id`
-  /// (composite buffers are inverters).  Even parity = positive polarity.
-  int inversion_parity(NodeId id) const;
+  /// Buffer depth of every node, indexed by NodeId: the number of
+  /// inverting stages on the path from the root down to and including the
+  /// node (composite buffers are inverters).  Even depth = positive
+  /// polarity.  One top-down sweep; detached tombstones read 0.
+  std::vector<int> buffer_depths() const;
 
   /// Sum over the path root..id of edge lengths.
   Um path_length(NodeId id) const;

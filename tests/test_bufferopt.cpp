@@ -11,6 +11,7 @@
 #include "cts/slack.h"
 #include "netlist/generators.h"
 #include "rctree/extract.h"
+#include "reference_tree.h"
 #include "util/rng.h"
 
 namespace contango {
@@ -58,7 +59,9 @@ TEST(Trunk, SlideAndInterleaveRespacesEvenly) {
   const std::vector<int> parity_before = [&] {
     std::vector<int> p;
     for (NodeId id : tree.topological_order()) {
-      if (tree.node(id).is_sink()) p.push_back(tree.inversion_parity(id) % 2);
+      if (tree.node(id).is_sink()) {
+        p.push_back(reference::buffer_depth(tree, id) % 2);
+      }
     }
     return p;
   }();
@@ -71,7 +74,9 @@ TEST(Trunk, SlideAndInterleaveRespacesEvenly) {
   // Polarity of every sink preserved.
   std::vector<int> parity_after;
   for (NodeId id : tree.topological_order()) {
-    if (tree.node(id).is_sink()) parity_after.push_back(tree.inversion_parity(id) % 2);
+    if (tree.node(id).is_sink()) {
+      parity_after.push_back(reference::buffer_depth(tree, id) % 2);
+    }
   }
   EXPECT_EQ(parity_before, parity_after);
 
@@ -116,8 +121,8 @@ TEST(Equalize, AllSinksReachSameDepth) {
   int lo = 1 << 30, hi = 0;
   for (NodeId id : tree.topological_order()) {
     if (!tree.node(id).is_sink()) continue;
-    lo = std::min(lo, tree.inversion_parity(id));
-    hi = std::max(hi, tree.inversion_parity(id));
+    lo = std::min(lo, reference::buffer_depth(tree, id));
+    hi = std::max(hi, reference::buffer_depth(tree, id));
   }
   const int added = equalize_stage_counts(tree, bench, CompositeBuffer{0, 8});
   tree.validate();
@@ -127,7 +132,7 @@ TEST(Equalize, AllSinksReachSameDepth) {
   int depth = -1;
   for (NodeId id : tree.topological_order()) {
     if (!tree.node(id).is_sink()) continue;
-    const int p = tree.inversion_parity(id);
+    const int p = reference::buffer_depth(tree, id);
     if (depth < 0) depth = p;
     EXPECT_EQ(p, depth) << "unequal stage count at sink node " << id;
   }
@@ -172,7 +177,7 @@ TEST(Equalize, SharedDeficitPaidOnce) {
   EXPECT_EQ(added, 1);  // one buffer on the shared shallow prefix
   for (NodeId id : tree.topological_order()) {
     if (tree.node(id).is_sink()) {
-      EXPECT_EQ(tree.inversion_parity(id), 2);
+      EXPECT_EQ(reference::buffer_depth(tree, id), 2);
     }
   }
 }

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "cts/flow.h"
+#include "cts/scenario.h"
 #include "netlist/library.h"
 #include "rctree/clocktree.h"
 #include "rctree/extract.h"
 #include "netlist/generators.h"
+#include "reference_tree.h"
+#include "util/rng.h"
 
 namespace contango {
 namespace {
@@ -39,9 +45,14 @@ TEST_F(SmallTree, BasicAccounting) {
   EXPECT_EQ(tree_.downstream_sinks(b_).size(), 1u);
 }
 
-TEST_F(SmallTree, InversionParity) {
-  EXPECT_EQ(tree_.inversion_parity(s0_), 0);
-  EXPECT_EQ(tree_.inversion_parity(s1_), 1);
+TEST_F(SmallTree, BufferDepths) {
+  const std::vector<int> depth = tree_.buffer_depths();
+  ASSERT_EQ(depth.size(), tree_.size());
+  EXPECT_EQ(depth[root_], 0);
+  EXPECT_EQ(depth[a_], 0);
+  EXPECT_EQ(depth[s0_], 0);
+  EXPECT_EQ(depth[b_], 1);  // a buffer counts itself
+  EXPECT_EQ(depth[s1_], 1);
 }
 
 TEST_F(SmallTree, SplitEdgePreservesGeometry) {
@@ -75,7 +86,7 @@ TEST_F(SmallTree, InsertBufferAndSplice) {
   tree_.validate();
   EXPECT_TRUE(tree_.node(buf).is_buffer());
   EXPECT_EQ(tree_.buffer_count(), 2);
-  EXPECT_EQ(tree_.inversion_parity(s1_), 2);
+  EXPECT_EQ(tree_.buffer_depths()[s1_], 2);
 
   const NodeId absorbed = tree_.splice_out(buf);
   tree_.validate();
@@ -83,6 +94,8 @@ TEST_F(SmallTree, InsertBufferAndSplice) {
   EXPECT_EQ(tree_.buffer_count(), 1);
   EXPECT_DOUBLE_EQ(tree_.edge_length(s1_), 100.0);
   EXPECT_FALSE(tree_.live(buf));
+  EXPECT_EQ(tree_.buffer_depths()[buf], 0);  // tombstones read 0
+  EXPECT_EQ(tree_.buffer_depths()[s1_], 1);
 }
 
 TEST_F(SmallTree, SpliceOutPreservesWirelength) {
@@ -110,6 +123,68 @@ TEST_F(SmallTree, ValidateCatchesSinkWithChild) {
   // Deliberately corrupt: hang a node under a sink.
   tree_.add_child(s0_, NodeKind::kInternal, {100, 150});
   EXPECT_THROW(tree_.validate(), std::logic_error);
+}
+
+/// Every node's swept depth equals the root-walk oracle's.
+void expect_depths_match_root_walk(const ClockTree& tree) {
+  const std::vector<int> depth = tree.buffer_depths();
+  ASSERT_EQ(depth.size(), tree.size());
+  for (NodeId id = 0; id < tree.size(); ++id) {
+    ASSERT_EQ(depth[id], reference::buffer_depth(tree, id)) << "node " << id;
+  }
+}
+
+// Random trees grown, buffered on existing edges and spliced, so node ids
+// are out of topological order and detached tombstones sit among live nodes.
+TEST(BufferDepths, SweepMatchesRootWalkOnRandomTrees) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    ClockTree tree;
+    tree.add_source({0, 0});
+    std::vector<NodeId> open{tree.root()};  // nodes that may take children
+    for (int i = 0; i < 200; ++i) {
+      const NodeId parent = open[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(open.size()) - 1))];
+      const Point pos{rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)};
+      const double roll = rng.unit();
+      if (roll < 0.3) {
+        const NodeId sink = tree.add_child(parent, NodeKind::kSink, pos);
+        tree.node(sink).sink_index = i;
+      } else if (roll < 0.5) {
+        open.push_back(tree.add_child(parent, NodeKind::kBuffer, pos));
+      } else {
+        open.push_back(tree.add_child(parent, NodeKind::kInternal, pos));
+      }
+    }
+    // Buffers on existing edges get ids after their subtrees.
+    for (int i = 0; i < 40; ++i) {
+      const NodeId id = static_cast<NodeId>(
+          rng.uniform_int(1, static_cast<std::int64_t>(tree.size()) - 1));
+      if (!tree.live(id) || tree.routed_length(id) <= 0.0) continue;
+      tree.insert_buffer(id, tree.routed_length(id) / 2.0, CompositeBuffer{0, 2});
+    }
+    for (NodeId id = 1; id < tree.size(); ++id) {
+      if (tree.live(id) && tree.node(id).children.size() == 1 && rng.unit() < 0.3) {
+        tree.splice_out(id);
+      }
+    }
+    tree.validate();
+    expect_depths_match_root_walk(tree);
+  }
+}
+
+// huge:5000 at seed 4 comes out of insertion with every sink inverted, so
+// polarity correction puts an inverter on each root edge.
+TEST(BufferDepths, SweepMatchesRootWalkAfterRootInverter) {
+  const Benchmark bench = make_scenario("huge", 4, 5000);
+  FlowOptions options;
+  options.pipeline = "dme,repair,insert,polarity";
+  const FlowResult r = run_contango(bench, options);
+  ASSERT_EQ(r.polarity.inverted_sinks, static_cast<int>(bench.sinks.size()));
+  EXPECT_EQ(r.polarity.added_inverters,
+            static_cast<int>(r.tree.node(r.tree.root()).children.size()));
+  expect_depths_match_root_walk(r.tree);
 }
 
 TEST(ClockTreeErrors, DoubleSourceThrows) {

@@ -205,31 +205,34 @@ struct GoldenRow {
 // program linked against the library before the full, batched-MC and
 // incremental evaluators became one sweep; the huge:200 row predates the
 // lane kernel.  Every later engine must reproduce them exactly.  Only the
-// stage_evals column was re-recorded since, when the IVC gate started
-// stopping a candidate's sweep once its rejection is certain.
+// counter columns were re-recorded since: stage_evals when the IVC gate
+// started stopping a candidate's sweep once its rejection is certain, and
+// sim_runs (one fewer) with stage_evals when composite selection stopped
+// simulating the first ladder candidate, which it keeps whatever the
+// verdict.
 constexpr GoldenRow kGolden[] = {
     {"uniform", 0, 19.780766672024356, 68.300888344348323, 1094.413437515763,
-     85640.732110263532, 119.67240699404732, 32, 23785},
+     85640.732110263532, 119.67240699404732, 31, 22617},
     {"clustered", 0, 4.1165970249404609, 33.933413657002234, 799.48699770118969,
-     96626.078763304875, 79.832147662179835, 34, 14824},
+     96626.078763304875, 79.832147662179835, 33, 13844},
     {"ring", 0, 10.963771958623283, 43.891346193051277, 781.42863057954605,
-     71453.778093269633, 106.01380620973531, 36, 18400},
+     71453.778093269633, 106.01380620973531, 35, 17548},
     {"obstacle_dense", 0, 82.762126220885648, 196.01379359838029, 1834.8056251770863,
-     99643.385946042443, 296.59034549547948, 16, 10434},
+     99643.385946042443, 296.59034549547948, 15, 8930},
     {"high_fanout", 0, 9.5447959491119718, 34.211671832403113, 724.78813459772516,
-     137767.52851838651, 90.412171146328873, 38, 33104},
+     137767.52851838651, 90.412171146328873, 37, 31444},
     {"mixed_cap", 0, 10.495649352731107, 41.261408838417083, 924.73652727990213,
-     100955.32461809607, 89.777434708263257, 31, 19357},
+     100955.32461809607, 89.777434708263257, 30, 18161},
     {"huge", 0, 20.165782844591604, 100.80798464906434, 1765.2385697859822,
-     516801.00626899517, 119.08595438365015, 25, 99107},
+     516801.00626899517, 119.08595438365015, 24, 91859},
     {"multidomain", 0, 7.0228067880120761, 37.847083678958711, 840.96257607038422,
-     91703.392098234326, 88.450280539553702, 32, 14676},
+     91703.392098234326, 88.450280539553702, 31, 13656},
     {"usefulskew", 0, 29.712478733956686, 168.28303915414131, 1511.4402819232264,
-     98380.071392216865, 577.04760909058564, 25, 10944},
+     98380.071392216865, 577.04760909058564, 24, 9880},
     {"mega", 0, 35.446875081095641, 171.43664683368479, 2933.3368449055761,
-     1076889.8691852982, 119.32136642788106, 26, 172729},
+     1076889.8691852982, 119.32136642788106, 25, 158781},
     {"huge", 200, 91.080572723452406, 213.99491530711884, 1946.1839547751956,
-     158467.95574183317, 286.17791538650675, 21, 15949},
+     158467.95574183317, 286.17791538650675, 20, 13693},
 };
 
 TEST(Golden, DefaultFlowOnEveryFamilySeed1) {

@@ -7,6 +7,7 @@
 #include "cts/dme.h"
 #include "cts/vanginneken.h"
 #include "netlist/generators.h"
+#include "reference_tree.h"
 
 namespace contango {
 namespace {
@@ -141,7 +142,7 @@ TEST(VanGinneken, BalancedTreeStaysRoughlyBalanced) {
   int min_bufs = 1 << 30, max_bufs = 0;
   for (NodeId id : tree.topological_order()) {
     if (tree.node(id).is_sink()) {
-      const int p = tree.inversion_parity(id);
+      const int p = reference::buffer_depth(tree, id);
       min_bufs = std::min(min_bufs, p);
       max_bufs = std::max(max_bufs, p);
     }
